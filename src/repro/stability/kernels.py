@@ -17,11 +17,16 @@ kernels apply the same discipline to the stability widget's hot loop:
   scorer's declaration order** — the identical sequence of IEEE
   operations :meth:`LinearScoringFunction.score_table` performs, so
   every score is byte-identical to the scalar path's;
-- all trials are stable-argsorted at once, and the movement metrics are
-  computed on integer permutation arrays — Kendall tau via merge-sort
-  inversion counting (:func:`repro.ranking.compare
-  .count_inversions_batch`), top-k overlap via position prefixes.  No
-  ``Table`` is constructed and no dict is consulted inside the loop.
+- the perturbation and uncertainty kernels stable-argsort all trials at
+  once and compute the movement metrics on integer permutation arrays —
+  Kendall tau via merge-sort inversion counting (:func:`repro.ranking
+  .compare.count_inversions_batch`), top-k overlap via position
+  prefixes.  No ``Table`` is constructed and no dict is consulted inside
+  the loop;
+- the per-attribute kernel needs only one bit per trial ("did the top-k
+  set change?"), so it never sorts: it first prunes the rows that can
+  never reach the top-k, then decides each trial with two column
+  reductions (see :func:`run_attribute_kernel`).
 
 **Byte-identity contract.**  For every payload a kernel accepts, its
 result list is byte-identical to running the matching scalar trial
@@ -123,19 +128,21 @@ def _accumulate_scores(
     return scores
 
 
-def _stable_orders(scores: np.ndarray) -> np.ndarray:
-    """Argsort every trial column exactly like ``Ranking.from_scores``."""
+def _rank_keys(scores: np.ndarray) -> np.ndarray:
+    """Ascending sort keys exactly like ``Ranking.from_scores``."""
     keys = -scores
     keys[np.isnan(keys)] = np.inf  # NaN scores sort last
-    return np.argsort(keys, axis=0, kind="stable")
+    return keys
+
+
+def _stable_orders(scores: np.ndarray) -> np.ndarray:
+    """Argsort every trial column exactly like ``Ranking.from_scores``."""
+    return np.argsort(_rank_keys(scores), axis=0, kind="stable")
 
 
 def _baseline_order(table: Table, scorer: LinearScoringFunction) -> np.ndarray:
     """Row indices of the unperturbed ranking, best first."""
-    base_scores = scorer.score_table(table)
-    keys = -base_scores.copy()
-    keys[np.isnan(keys)] = np.inf
-    return np.argsort(keys, kind="stable")
+    return np.argsort(_rank_keys(scorer.score_table(table)), kind="stable")
 
 
 def _positions_from_orders(orders: np.ndarray) -> np.ndarray:
@@ -333,12 +340,101 @@ def run_uncertainty_kernel(
 
 # -- per-attribute stability ---------------------------------------------------
 
+#: pruning margin relative to the largest ``sum |w| |x|`` of any row:
+#: orders of magnitude above the rounding error of a few-term dot product
+_PRUNE_MARGIN = 1e-9
+#: score magnitudes from which a partial sum could overflow; never pruned
+_PRUNE_LIMIT = 1e300
+
+
+def _candidate_rows(
+    columns: list[np.ndarray],
+    weights: list[float],
+    index: int,
+    reach: float,
+    any_missing: np.ndarray,
+    missing_policy: str,
+    member: np.ndarray,
+) -> np.ndarray | None:
+    """Rows that may still precede a baseline member in some trial.
+
+    Every trial moves only weight ``index``, by at most ``reach``, so row
+    ``i`` scores within ``base_i +- reach * |x_i|``.  A non-member whose
+    highest reachable score stays more than twice the float-error margin
+    (``_PRUNE_MARGIN`` x the largest ``sum |w| |x|``) below every
+    member's lowest reachable score trails every member in every trial —
+    in exact arithmetic and after rounding — so dropping it changes no
+    flag.  NaN-scored non-members trail every finite member and are
+    dropped too.  ``None`` keeps every row: a member is NaN-scored, or a
+    value is infinite or so large that the margin is no longer sound.
+    """
+    propagate = missing_policy == "propagate"
+    if propagate and np.any(any_missing & member):
+        return None
+    base = np.zeros(member.shape[0], dtype=np.float64)
+    magnitude = np.zeros(member.shape[0], dtype=np.float64)
+    for values, weight in zip(columns, weights):
+        base += weight * values
+        magnitude += abs(weight) * np.abs(values)
+    swing = reach * np.abs(columns[index])
+    magnitude += swing
+    largest = float(np.max(magnitude))
+    if not largest < _PRUNE_LIMIT:  # also catches NaN from inf * 0
+        return None
+    margin = _PRUNE_MARGIN * largest + np.finfo(np.float64).tiny
+    floor = float(np.min((base - swing)[member]))
+    reachable = base + swing >= floor - 2.0 * margin
+    if propagate:
+        reachable &= ~any_missing
+    return np.flatnonzero(member | reachable)
+
+
+def _top_set_kept(keys: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Per trial: do the member rows fill the top ``member.sum()`` slots?
+
+    Under the stable ascending order of ``keys`` (ties by ascending row)
+    that holds exactly when the worst member — largest key, on a tie the
+    largest row — precedes the best non-member — smallest key, on a tie
+    the smallest row.  Two column reductions decide it; nothing sorts.
+    """
+    others = ~member
+    if not others.any():
+        return np.ones(keys.shape[1], dtype=bool)
+    member_keys = keys[member]
+    other_keys = keys[others]
+    worst = member_keys.max(axis=0)
+    best = other_keys.min(axis=0)
+    kept = worst < best
+    tied = np.flatnonzero(worst == best)
+    if tied.size:
+        member_rows = np.flatnonzero(member)[:, None]
+        other_rows = np.flatnonzero(others)[:, None]
+        worst_row = np.where(
+            member_keys[:, tied] == worst[tied], member_rows, -1
+        ).max(axis=0)
+        best_row = np.where(
+            other_keys[:, tied] == best[tied], other_rows, keys.shape[0]
+        ).min(axis=0)
+        kept[tied] = worst_row < best_row
+    return kept
+
 
 def run_attribute_kernel(
     payload: AttributeTrialPayload, trials: int, start: int = 0
 ) -> list[bool]:
     """Trials ``[start, start + trials)`` of
-    :func:`~repro.stability.per_attribute._attribute_trial`."""
+    :func:`~repro.stability.per_attribute._attribute_trial`.
+
+    A trial's flag is "the top-k id set differs from ``baseline_top``".
+    When the baseline set is exactly ``min(k, n)`` rows of the table
+    (the members), the flag is false iff every member precedes every
+    other row in the trial's ranking, which :func:`_top_set_kept` decides
+    by selection instead of a sort.  Before scoring, rows that can never
+    reach the top-k in any drawn trial are pruned (see
+    :func:`_candidate_rows`, margin ``1e-9`` x the largest
+    ``sum |w| |x|``); the survivors are scored by the unchanged
+    :func:`_accumulate_scores`, so every float matches the scalar path.
+    """
     scorer = _require_plain_linear_scorer(payload.scorer)
     table = payload.table
     weights = scorer.weights
@@ -372,17 +468,25 @@ def run_attribute_kernel(
         return [bool(top != set(payload.baseline_top))] * trials
     ids = _unique_ids(table, payload.id_column)
     columns, any_missing = _design_matrix(table, scorer)
-    scores = _accumulate_scores(columns, matrix, any_missing, scorer.missing_policy)
-    orders = _stable_orders(scores)
     member = np.fromiter(
-        (value in payload.baseline_top for value in ids), dtype=bool, count=n
+        map(payload.baseline_top.__contains__, ids), dtype=bool, count=n
     )
     kept = min(payload.k, n)
-    counts = member[orders[:kept, :]].sum(axis=0)
-    baseline_size = len(set(payload.baseline_top))
-    return [
-        bool(int(count) != kept or baseline_size != kept) for count in counts
-    ]
+    if len(set(payload.baseline_top)) != kept or int(member.sum()) != kept:
+        # no ranking's top-k can equal the baseline set
+        return [True] * trials
+    index = list(weights).index(payload.attribute)
+    rows = _candidate_rows(
+        columns, list(weights.values()), index,
+        float(np.max(np.abs(deltas), initial=0.0)),
+        any_missing, scorer.missing_policy, member,
+    )
+    if rows is not None:
+        columns = [values[rows] for values in columns]
+        any_missing = any_missing[rows]
+        member = member[rows]
+    scores = _accumulate_scores(columns, matrix, any_missing, scorer.missing_policy)
+    return (~_top_set_kept(_rank_keys(scores), member)).tolist()
 
 
 # -- dispatch ------------------------------------------------------------------

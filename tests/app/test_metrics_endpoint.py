@@ -2,7 +2,7 @@
 
 import contextlib
 import re
-import time
+import socket
 import urllib.error
 import urllib.request
 
@@ -43,33 +43,29 @@ def request_samples(text, family="repro_http_requests_total"):
     return samples
 
 
-def settle(read, target, timeout=5.0):
-    """Poll ``read()`` until it reaches ``target``: request counters are
-    incremented after the response is flushed, so a scrape racing the
-    previous request's bookkeeping may briefly run one behind."""
-    deadline = time.monotonic() + timeout
-    value = read()
-    while value < target and time.monotonic() < deadline:
-        time.sleep(0.02)
-        value = read()
-    return value
+def get_until_closed(handle, path):
+    """GET ``path`` with ``Connection: close`` and read until EOF.
+
+    The server counts a request in the ``finally`` of its handler and
+    only then closes the connection, so once this read hits EOF the
+    request is in every later ``/metrics`` scrape.
+    """
+    host, port = handle.address
+    request = (
+        f"GET {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    response = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request.encode("ascii"))
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 200 "), response[:80]
 
 
 class TestMetricsEndpoint:
     def test_scrape_returns_prometheus_exposition_text(self, served):
-        fetch(served, "/health")  # mint at least one request sample
-
-        def health_series():
-            _, _, body = fetch(served, "/metrics")
-            return len(
-                [
-                    labels
-                    for labels, _ in request_samples(body.decode("utf-8"))
-                    if labels.get("route") == "/health"
-                ]
-            )
-
-        assert settle(health_series, 1) >= 1
+        get_until_closed(served, "/health")  # mint at least one request sample
         status, headers, body = fetch(served, "/metrics")
         text = body.decode("utf-8")
         assert status == 200
@@ -97,11 +93,12 @@ class TestMetricsEndpoint:
                 if labels.get("route") == "/health"
             )
 
-        fetch(served, "/health")
-        before = settle(health_count, 1)
-        fetch(served, "/health")
-        fetch(served, "/health")
-        assert settle(health_count, before + 2) == before + 2
+        get_until_closed(served, "/health")
+        before = health_count()
+        assert before >= 1
+        get_until_closed(served, "/health")
+        get_until_closed(served, "/health")
+        assert health_count() == before + 2
 
     def test_every_response_carries_a_trace_id(self, served):
         _, headers, _ = fetch(served, "/health")

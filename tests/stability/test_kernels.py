@@ -9,11 +9,16 @@ must be declined with a reason so the ``vectorized`` backend can fall
 back to the scalar path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import synthetic_scores_table
 from repro.engine.backends import VectorizedTrialBackend
+from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction, ScoringFunction
 from repro.stability import (
     DataUncertaintyStability,
@@ -27,7 +32,7 @@ from repro.stability.kernels import (
     run_perturbation_kernel,
     run_uncertainty_kernel,
 )
-from repro.stability.per_attribute import _attribute_trial
+from repro.stability.per_attribute import AttributeTrialPayload, _attribute_trial
 from repro.stability.perturbation import (
     PerturbationTrialPayload,
     _perturbation_trial,
@@ -44,9 +49,9 @@ def mc_table(n=60, seed=11):
     )
 
 
-def scalar_batch(fn, payload, trials):
+def scalar_batch(fn, payload, trials, start=0):
     """The reference: the scalar trial function, run serially."""
-    return [fn(payload, t) for t in range(trials)]
+    return [fn(payload, start + t) for t in range(trials)]
 
 
 class SubclassedLinear(LinearScoringFunction):
@@ -205,9 +210,6 @@ class TestKernelsMatchScalarTrialFunctions:
         )
 
     def test_attribute_kernel_raw(self):
-        from repro.ranking.ranker import rank_table
-        from repro.stability.per_attribute import AttributeTrialPayload
-
         table = mc_table(n=40)
         scorer = LinearScoringFunction(WEIGHTS)
         baseline = rank_table(table, scorer, "item")
@@ -225,6 +227,145 @@ class TestKernelsMatchScalarTrialFunctions:
         assert run_attribute_kernel(payload, 9) == scalar_batch(
             _attribute_trial, payload, 9
         )
+
+
+def attribute_payload(table, scorer, attribute, epsilon, k, seed):
+    """A per-attribute payload built the way ``_change_probability`` does."""
+    weights = scorer.weights
+    weight = weights[attribute]
+    scale = abs(weight) if weight != 0.0 else float(
+        np.mean([abs(w) for w in weights.values()])
+    )
+    baseline = rank_table(table, scorer, "item")
+    return AttributeTrialPayload(
+        table=table,
+        scorer=scorer,
+        attribute=attribute,
+        epsilon=epsilon,
+        scale=scale,
+        id_column="item",
+        baseline_top=frozenset(baseline.item_ids()[:k]),
+        k=k,
+        seed=seed,
+    )
+
+
+#: integer-valued cells make score ties at the k boundary likely
+CELLS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, float("nan")]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+WEIGHT_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0, allow_nan=False)
+)
+
+
+class TestAttributeKernelProperty:
+    """The sort-free per-attribute kernel == the scalar trial path."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 14),
+        weights=st.lists(WEIGHT_VALUES, min_size=3, max_size=3),
+        policy=st.sampled_from(["zero", "propagate"]),
+        attribute=st.sampled_from(["a", "b", "c"]),
+        k_choice=st.sampled_from(["1", "n-1", "n", "n+1"]),
+        log_epsilon=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**16),
+        trials=st.integers(1, 12),
+        start=st.sampled_from([0, 0, 7, 40]),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_scalar_trials(
+        self, data, n, weights, policy, attribute, k_choice, log_epsilon,
+        seed, trials, start,
+    ):
+        assume(any(w != 0.0 for w in weights))
+        columns = {
+            name: data.draw(st.lists(CELLS, min_size=n, max_size=n), label=name)
+            for name in ("a", "b", "c")
+        }
+        table = Table.from_dict({"item": [f"i{j}" for j in range(n)], **columns})
+        scorer = LinearScoringFunction(
+            dict(zip(("a", "b", "c"), weights)), missing_policy=policy
+        )
+        k = {"1": 1, "n-1": max(1, n - 1), "n": n, "n+1": n + 1}[k_choice]
+        payload = attribute_payload(
+            table, scorer, attribute, 10.0 ** log_epsilon, k, seed
+        )
+        if data.draw(st.booleans(), label="arbitrary baseline_top"):
+            # a baseline set that is not the table's own top-k
+            ids = data.draw(st.permutations(table.column("item").values.tolist()))
+            payload = replace(payload, baseline_top=frozenset(ids[:k]))
+        assert run_attribute_kernel(payload, trials, start) == scalar_batch(
+            _attribute_trial, payload, trials, start
+        )
+
+    def test_nan_member_keeps_every_row(self):
+        """A NaN-scored member sorts last, so no finite row may be pruned."""
+        table = Table.from_dict(
+            {"item": ["i0", "i1"], "a": [-100.0, float("nan")], "b": [0.0, 0.0]}
+        )
+        scorer = LinearScoringFunction({"a": 1.0, "b": 1.0}, missing_policy="propagate")
+        payload = replace(
+            attribute_payload(table, scorer, "b", 0.01, 1, 2),
+            baseline_top=frozenset({"i1"}),
+        )
+        assert run_attribute_kernel(payload, 4) == [True] * 4
+        assert scalar_batch(_attribute_trial, payload, 4) == [True] * 4
+
+    def test_baseline_id_absent_from_table_always_flags(self):
+        table = mc_table(n=30)
+        scorer = LinearScoringFunction(WEIGHTS)
+        genuine = attribute_payload(table, scorer, "attr_1", 0.01, 3, 2)
+        payload = replace(
+            genuine,
+            baseline_top=frozenset(sorted(genuine.baseline_top)[:2] + ["absent"]),
+        )
+        assert run_attribute_kernel(payload, 5) == [True] * 5
+        assert scalar_batch(_attribute_trial, payload, 5) == [True] * 5
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-3, 0.3, 1.0])
+    def test_pruned_large_table_matches_scalar(self, epsilon):
+        """Most rows are pruned on a wide table; the flags must not move."""
+        rng = np.random.default_rng(3)
+        n = 400
+        table = Table.from_dict(
+            {
+                "item": [f"i{j}" for j in range(n)],
+                "a": rng.integers(0, 20, n).astype(float),
+                "b": rng.integers(0, 20, n).astype(float),
+                "c": rng.normal(0.0, 1.0, n),
+            }
+        )
+        scorer = LinearScoringFunction({"a": 0.5, "b": 0.3, "c": 0.2})
+        for attribute in ("a", "b", "c"):
+            payload = attribute_payload(table, scorer, attribute, epsilon, 10, 5)
+            assert run_attribute_kernel(payload, 20, 3) == scalar_batch(
+                _attribute_trial, payload, 20, 3
+            )
+
+    def test_never_sorts(self, monkeypatch):
+        """Structural guard: a probe selects, it never calls a numpy sort."""
+        table = mc_table(n=200, seed=4)
+        scorer = LinearScoringFunction(WEIGHTS)
+        payloads = [
+            attribute_payload(table, scorer, attribute, epsilon, 10, 9)
+            for attribute in WEIGHTS
+            for epsilon in (0.05, 1.0)
+        ]
+        calls = []
+        for name in ("argsort", "sort"):
+
+            def counted(*args, _original=getattr(np, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        for payload in payloads:
+            run_attribute_kernel(payload, 30)
+        assert calls == []
 
 
 class TestFallbackDispatch:
