@@ -48,13 +48,14 @@ import argparse
 import json
 import random
 import signal
+import socket
 import sys
 import threading
 import time
 from collections.abc import Sequence
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cluster import wire
+from repro.cluster.daemon import DaemonHandle, DaemonHandler, DaemonServer
 from repro.errors import ClusterError
 from repro.telemetry import (
     MetricsRegistry,
@@ -240,16 +241,12 @@ class WorkerRegistry:
             })
 
 
-class _RegistryHandler(BaseHTTPRequestHandler):
+class _RegistryHandler(DaemonHandler):
     """HTTP routes over one :class:`WorkerRegistry`."""
 
     registry: WorkerRegistry = None  # type: ignore[assignment]  # see make_registry
 
     server_version = "RankingFactsRegistry/1.0"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep daemon output clean
 
     def _partitioned(self) -> bool:
         """Fault injection: a partitioned registry drops connections cold.
@@ -260,26 +257,13 @@ class _RegistryHandler(BaseHTTPRequestHandler):
         partition looks like: EOF with no answer.
         """
         if getattr(self.server, "partitioned", False):
-            import socket as _socket
-
             try:
-                self.connection.shutdown(_socket.SHUT_RDWR)
+                self.connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             self.close_connection = True
             return True
         return False
-
-    def _send_json(self, status: int, data: object) -> None:
-        body = json.dumps(data, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except OSError:  # client went away mid-response
-            self.close_connection = True
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -344,46 +328,16 @@ class _RegistryHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
 
 
-class RegistryHandle:
+class RegistryHandle(DaemonHandle):
     """A running registry daemon plus its thread (context manager)."""
 
-    def __init__(self, server: ThreadingHTTPServer, registry: WorkerRegistry):
-        self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+    def __init__(self, server: DaemonServer, registry: WorkerRegistry):
+        super().__init__(server)
         self.registry = registry
-
-    @property
-    def address(self) -> str:
-        """The bound ``host:port`` (real port even when bound to 0)."""
-        host, port = self._server.server_address[:2]
-        return f"{host}:{int(port)}"
-
-    @property
-    def url(self) -> str:
-        """Base URL — what workers' ``--register`` and coordinators take."""
-        return f"http://{self.address}"
 
     def partition(self, partitioned: bool = True) -> None:
         """Fault injection: drop every connection cold while partitioned."""
         self._server.partitioned = partitioned
-
-    def start(self) -> "RegistryHandle":
-        """Begin serving on the daemon thread; returns ``self``."""
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the HTTP server down and join the serving thread."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "RegistryHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def make_registry(
@@ -396,7 +350,7 @@ def make_registry(
     handler = type(
         "BoundRegistryHandler", (_RegistryHandler,), {"registry": worker_registry}
     )
-    server = ThreadingHTTPServer((host, port), handler)
+    server = DaemonServer((host, port), handler)
     server.partitioned = False  # fault-injection flag; see RegistryHandle
     return RegistryHandle(server, worker_registry)
 

@@ -62,18 +62,16 @@ Run one with ``ranking-facts worker`` or
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
-import socket
 import sys
 import threading
 import time
 from collections.abc import Sequence
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from repro.cluster import wire
+from repro.cluster.daemon import DaemonHandle, DaemonHandler, DaemonServer
 from repro.cluster.registry import DEFAULT_LEASE_TTL, HeartbeatLoop, RegistryClient
 from repro.engine.backends import resolve_trial_backend, run_trial_span
 from repro.errors import ClusterError
@@ -279,46 +277,13 @@ class TrialWorker:
         self._backend.shutdown()
 
 
-class _TrialWorkerHandler(BaseHTTPRequestHandler):
+class _TrialWorkerHandler(DaemonHandler):
     """HTTP routes over one :class:`TrialWorker`."""
 
     worker: TrialWorker = None  # type: ignore[assignment]  # set by make_worker
     profile_source: str = "worker"  # refined to worker:<port> by make_worker
 
     server_version = "RankingFactsWorker/1.0"
-    # HTTP/1.1: the coordinator keeps one persistent connection per
-    # worker, so chunks after the first skip the TCP handshake
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep daemon output clean
-
-    # coordinators hold persistent connections, so a handler thread can
-    # outlive serve_forever; the server tracks open sockets so stop()
-    # can sever them the way a killed process would
-    def setup(self) -> None:
-        connections = getattr(self.server, "live_connections", None)
-        if connections is not None:
-            connections.add(self.request)
-        super().setup()
-
-    def finish(self) -> None:
-        super().finish()
-        connections = getattr(self.server, "live_connections", None)
-        if connections is not None:
-            connections.discard(self.request)
-
-    def _send_bytes(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, data: object) -> None:
-        self._send_bytes(
-            status, "application/json", json.dumps(data, indent=2).encode("utf-8")
-        )
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.partition("?")[0]
@@ -394,37 +359,25 @@ class _TrialWorkerHandler(BaseHTTPRequestHandler):
             self._send_bytes(200, "application/octet-stream", response)
 
 
-class WorkerHandle:
+class WorkerHandle(DaemonHandle):
     """A running worker daemon plus its thread (context manager)."""
 
     def __init__(
         self,
-        server: ThreadingHTTPServer,
+        server: DaemonServer,
         worker: TrialWorker,
         heartbeat: HeartbeatLoop | None = None,
     ):
-        self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        super().__init__(server)
         self.worker = worker
         self.heartbeat = heartbeat
         #: whether this daemon started the process profiler's continuous
         #: sink (and so must stop it on shutdown); set by make_worker
         self.owns_continuous = False
 
-    @property
-    def address(self) -> str:
-        """``host:port`` the daemon is bound to — a registry entry."""
-        host, port = self._server.server_address[:2]
-        return f"{host}:{int(port)}"
-
-    @property
-    def url(self) -> str:
-        """Base URL for client requests."""
-        return f"http://{self.address}"
-
     def start(self) -> "WorkerHandle":
         """Start serving in the background (and the heartbeat, if any)."""
-        self._thread.start()
+        super().start()
         if self.heartbeat is not None:
             self.heartbeat.start()
         return self
@@ -436,38 +389,15 @@ class WorkerHandle:
         503 first, then the registry lease is released, and only then
         do the sockets close — a coordinator watching either signal
         stops scheduling here before requests start failing.
-
-        Also severs any kept-alive client connections, so a stopped
-        daemon looks exactly like a killed one to a coordinator holding
-        a persistent connection (its next request fails instead of
-        being served by a lingering handler thread).
         """
         self.worker.begin_drain()
         if self.heartbeat is not None:
             self.heartbeat.stop(deregister=True)
-        self._server.shutdown()
-        self._server.server_close()
-        for connection in list(getattr(self._server, "live_connections", ())):
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        if self._thread.is_alive():
-            self._thread.join(timeout=5)
+        super().stop()
         if self.owns_continuous and self.worker.profiler is not None:
             self.worker.profiler.stop_continuous()
             self.owns_continuous = False
         self.worker.shutdown()
-
-    def __enter__(self) -> "WorkerHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def make_worker(
@@ -512,8 +442,7 @@ def make_worker(
             hz=profile_hz or DEFAULT_CONTINUOUS_HZ
         )
     handler = type("BoundWorkerHandler", (_TrialWorkerHandler,), {"worker": worker})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.live_connections = set()  # severed on stop(); see WorkerHandle
+    server = DaemonServer((host, port), handler)
     handler.profile_source = f"worker:{int(server.server_address[1])}"
     handle = WorkerHandle(server, worker)
     handle.owns_continuous = owns_continuous

@@ -54,7 +54,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from collections.abc import Callable
 from concurrent.futures import (
     CancelledError,
@@ -354,29 +353,20 @@ def _chunk_spans(trials: int, workers: int, chunk_size: int | None) -> list[tupl
 def _reap_pool(pool: ProcessPoolExecutor, timeout: float = 5.0) -> None:
     """Bounded teardown of a degraded process pool.
 
-    CPython 3.11's executor-manager thread can miss its shutdown wakeup
-    (``clear()`` racing ``wakeup()`` drops the pipe byte on the
-    feeder-error path), leaving it blocked in ``select()`` forever —
-    and the ``concurrent.futures`` atexit hook then wedges interpreter
-    exit joining it.  Re-sending the wakeup heals the lost-byte race;
-    the loop is time-bounded so a truly unrecoverable pool is abandoned
-    rather than blocking the build (the serial rerun already owns the
-    results).
+    The pool is not asked to cancel its queued chunks.  On CPython 3.11,
+    ``cancel_futures=True`` makes the executor's manager thread swap in
+    a fresh pending-work dict while the queue feeder keeps retiring
+    unpicklable chunks from the old one, so such a chunk stays pending
+    forever: the manager never exits, and the ``concurrent.futures``
+    atexit hook then wedges interpreter exit joining it.  Uncancelled,
+    every queued chunk either runs or fails to pickle and the manager
+    exits on its own.  The join is bounded so a hung worker cannot
+    block the build (the serial rerun already owns the results).
     """
-    thread = getattr(pool, "_executor_manager_thread", None)
-    wakeup = getattr(pool, "_executor_manager_thread_wakeup", None)
-    lock = getattr(pool, "_shutdown_lock", None)
-    deadline = time.monotonic() + timeout
-    while thread is not None and thread.is_alive():
-        if wakeup is not None and lock is not None:
-            try:
-                with lock:
-                    wakeup.wakeup()
-            except Exception:
-                pass  # wakeup pipe already closed: the manager is exiting
-        thread.join(0.1)
-        if time.monotonic() >= deadline:
-            break
+    manager = getattr(pool, "_executor_manager_thread", None)
+    pool.shutdown(wait=False)
+    if manager is not None:
+        manager.join(timeout)
 
 
 class ProcessTrialBackend:
@@ -427,10 +417,6 @@ class ProcessTrialBackend:
                 self.fallback_reason = reason
             pool, self._pool = self._pool, None
         if pool is not None:
-            # non-blocking shutdown, then a bounded reap: joining a broken
-            # pool outright can deadlock on 3.11's lost-wakeup race, and
-            # leaving it unjoined hands the same deadlock to the atexit hook
-            pool.shutdown(wait=False, cancel_futures=True)
             _reap_pool(pool)
 
     def run(self, fn: TrialFn, payload: Any, trials: int) -> list[Any]:
@@ -461,7 +447,7 @@ class ProcessTrialBackend:
             return results
         except (
             BrokenProcessPool,
-            CancelledError,  # a concurrent run's _degrade cancelled our chunks
+            CancelledError,
             pickle.PicklingError,
             TypeError,
             AttributeError,

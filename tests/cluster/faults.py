@@ -38,6 +38,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cluster import wire
+from repro.cluster.daemon import DaemonHandle
 from repro.cluster.registry import RegistryHandle
 from repro.cluster.worker import WorkerHandle, make_worker
 
@@ -217,19 +218,7 @@ def kill_worker(handle: WorkerHandle) -> str:
     address = handle.address
     if handle.heartbeat is not None:
         handle.heartbeat.stop(deregister=False)
-    handle._server.shutdown()
-    handle._server.server_close()
-    for connection in list(getattr(handle._server, "live_connections", ())):
-        try:
-            connection.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            connection.close()
-        except OSError:
-            pass
-    if handle._thread.is_alive():
-        handle._thread.join(timeout=5)
+    DaemonHandle.stop(handle)  # sockets only: no drain, no deregistration
     handle.worker.shutdown()
     return address
 

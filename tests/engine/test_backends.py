@@ -203,6 +203,22 @@ class TestProcessFallback:
         assert process_backend.effective_name == "serial"
         assert process_backend.fallback_reason is not None
 
+    def test_degrade_leaves_no_pool_manager_behind(self):
+        """A degraded pool's manager thread must exit.
+
+        The ``concurrent.futures`` atexit hook joins every live manager,
+        so a stranded one hangs interpreter exit.  Stranding is a race,
+        so several fresh pools are degraded.
+        """
+        poisoned = {"base": 2, "poison": threading.Lock()}
+        for _ in range(5):
+            backend = ProcessTrialBackend(workers=2)
+            backend.run(_square_trial, {"base": 1}, 4)
+            manager = backend._pool._executor_manager_thread
+            backend.run(_square_trial, poisoned, 4)
+            assert backend.effective_name == "serial"
+            assert not manager.is_alive()
+
     def test_genuine_trial_fault_propagates_without_sticky_degrade(
         self, process_backend
     ):
