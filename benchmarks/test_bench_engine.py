@@ -11,12 +11,11 @@ claims the engine makes:
 - a cached label is served orders of magnitude faster than a cold
   build, with byte-identical JSON for equal seeds.
 
-Trial-level parallelism is timed too, but only *reported*: on a
-single-core host the trial pool is disabled by design (threads would be
-pure overhead), so no speedup is asserted for it.
+The serial and vectorized trial backends are timed too, but only
+*reported* here; the kernel speedup is asserted by B2
+(``test_bench_kernels.py``).
 """
 
-import os
 import time
 
 from benchmarks.conftest import report
@@ -118,38 +117,31 @@ def test_bench_e1_cached_vs_cold_label(benchmark):
     assert hit_seconds < cold_seconds / 10
 
 
-def test_bench_e1_trial_parallelism_report():
-    """Serial vs thread-pool Monte-Carlo trials (report only; see module doc)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.stability import WeightPerturbationStability
+def test_bench_e1_trial_backend_report():
+    """Serial vs vectorized Monte-Carlo trials (report only; see module doc)."""
+    from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
     from repro.ranking.scoring import LinearScoringFunction
+    from repro.stability import WeightPerturbationStability
 
     table = bench_table()
     scorer = LinearScoringFunction({"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2})
 
-    serial_est = WeightPerturbationStability(
-        table, scorer, "item", k=20, trials=40, seed=1
-    )
-    start = time.perf_counter()
-    serial_outcome = serial_est.assess_at(0.1)
-    serial_seconds = time.perf_counter() - start
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel_est = WeightPerturbationStability(
-            table, scorer, "item", k=20, trials=40, seed=1, executor=pool
+    seconds = {}
+    outcomes = {}
+    for name, backend in (
+        ("serial", SerialTrialBackend()),
+        ("vectorized", VectorizedTrialBackend()),
+    ):
+        estimator = WeightPerturbationStability(
+            table, scorer, "item", k=20, trials=40, seed=1, backend=backend
         )
         start = time.perf_counter()
-        parallel_outcome = parallel_est.assess_at(0.1)
-        parallel_seconds = time.perf_counter() - start
+        outcomes[name] = estimator.assess_at(0.1)
+        seconds[name] = time.perf_counter() - start
 
     report(
-        f"E1: 40 MC trials, serial vs 4 threads (host has {os.cpu_count()} CPU)",
-        [
-            f"serial    {serial_seconds * 1000:8.1f} ms",
-            f"threads   {parallel_seconds * 1000:8.1f} ms",
-            "(speedup only expected on multi-core hosts)",
-        ],
+        "E1: 40 MC trials, serial vs vectorized",
+        [f"{name:<10} {seconds[name] * 1000:8.1f} ms" for name in seconds],
     )
-    # the determinism contract holds regardless of host parallelism
-    assert serial_outcome == parallel_outcome
+    # the determinism contract: the kernels reproduce the serial bytes
+    assert outcomes["serial"] == outcomes["vectorized"]

@@ -10,13 +10,14 @@ including a deliberately repeated one — and reads the engine's
 statistics afterwards to show what was built versus served from cache.
 
 Backend selection: the Monte-Carlo trials inside each build run on a
-pluggable backend — ``serial``, ``thread`` (default), or ``process``
-(GIL-free).  Pick one with ``LabelService(trial_backend="process")``
-here, with ``ranking-facts batch --trial-backend process`` on the CLI,
-or with ``REPRO_TRIAL_BACKEND=process`` for the server.  All three
-serve byte-identical labels for equal seeds, and parallel backends
-self-disable to serial on single-CPU hosts, so the setting is purely a
-throughput knob.
+trial backend — ``vectorized`` (the default: the whole trial batch as
+array kernels), ``serial`` (the scalar reference loop), or ``remote``
+(trials sharded across worker daemons).  Pick one with
+``LabelService(trial_backend="serial")`` here, with ``ranking-facts
+batch --trial-backend serial`` on the CLI, or with
+``REPRO_TRIAL_BACKEND=serial`` for the server.  All three serve
+byte-identical labels for equal seeds, so the setting only changes
+speed.
 
 Run:  PYTHONPATH=src python examples/batch_engine.py
 """
@@ -60,10 +61,10 @@ jobs = [
 # -- 3. run everything through one service ----------------------------------------
 #
 # trial_backend picks how each build's Monte-Carlo trials execute;
-# "thread" is the default — on a multi-core host try "process" and
-# watch GET /engine/stats report the effective backend.
+# "vectorized" is the default — try "serial" and watch the build times
+# grow while the labels stay byte-identical.
 
-with LabelService(cache_size=32, trial_backend="thread") as service:
+with LabelService(cache_size=32, trial_backend="vectorized") as service:
     results = service.run_batch(jobs)
 
     print("batch of", len(jobs), "jobs:")

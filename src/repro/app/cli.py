@@ -49,6 +49,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.app.session import DemoSession
+from repro.engine.backends import BACKEND_NAMES
 from repro.errors import RankingFactsError
 from repro.label.render_html import render_html
 from repro.label.render_json import render_json
@@ -210,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--trial-backend",
-        choices=("serial", "thread", "process", "vectorized", "remote"),
+        choices=BACKEND_NAMES,
         default=None,
         help="Monte-Carlo trial execution backend (default: vectorized — "
-        "all trials batched into array kernels; thread/process "
-        "self-disable on single-CPU hosts; 'remote' shards trials across "
-        "worker daemons, see --workers-from)",
+        "all trials batched into array kernels; 'serial' is the scalar "
+        "reference loop; 'remote' shards trials across worker daemons, "
+        "see --workers-from)",
     )
     batch.add_argument(
         "--workers-from", metavar="env|FILE", default=None,
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8000)
     serve.add_argument(
         "--trial-backend",
-        choices=("serial", "thread", "process", "vectorized", "remote"),
+        choices=BACKEND_NAMES,
         default=None,
         help="Monte-Carlo trial execution backend (default: the "
         "REPRO_TRIAL_BACKEND environment variable, then vectorized; "
@@ -785,11 +786,11 @@ def _run_serve(args: argparse.Namespace) -> str:
     from repro.app.server import resolve_service_env, serve_forever
     from repro.engine.service import LabelService
 
-    backend = (
-        _resolve_trial_backend_arg(args)
-        or os.environ.get("REPRO_TRIAL_BACKEND")
-        or None
-    )
+    # the env var stands in for the flag before --workers-from/--registry
+    # are checked against it
+    if args.trial_backend is None:
+        args.trial_backend = os.environ.get("REPRO_TRIAL_BACKEND") or None
+    backend = _resolve_trial_backend_arg(args)
     store_path, cache_max_bytes, cache_ttl = resolve_service_env(
         args.store, args.cache_max_bytes, args.cache_ttl
     )
@@ -1521,7 +1522,7 @@ def _run_worker(args: argparse.Namespace) -> str:
 
     serve_worker_forever(
         host=args.host, port=args.port, backend=args.backend,
-        workers=args.workers, log_level=args.log_level,
+        log_level=args.log_level,
         register=args.register, advertise=args.advertise,
         heartbeat_ttl=args.heartbeat_ttl, profile=args.profile,
     )

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import socket
 import threading
@@ -86,7 +87,6 @@ from repro.cluster.registry import RegistryClient
 from repro.engine.backends import (
     TrialBackend,
     TrialFn,
-    _chunk_spans,
     resolve_trial_backend,
     run_trial_span,
 )
@@ -158,6 +158,21 @@ def workers_from_file(path: str) -> tuple[str, ...]:
     if not addresses:
         raise ClusterError(f"workers file {path!r} names no workers")
     return tuple(addresses)
+
+
+def _chunk_spans(trials: int, workers: int, chunk_size: int | None) -> list[tuple[int, int]]:
+    """Split ``range(trials)`` into contiguous spans, submission-ordered.
+
+    The default aims for a few chunks per worker: large enough that one
+    request covers many trials, small enough that a slow chunk does not
+    straggle the whole batch (and a failed one re-runs little work).
+    """
+    if chunk_size is None:
+        chunk_size = max(1, math.ceil(trials / (workers * 4)))
+    return [
+        (start, min(start + chunk_size, trials))
+        for start in range(0, trials, chunk_size)
+    ]
 
 
 class WorkerClient:

@@ -45,8 +45,8 @@ attributed to the wrong chunk).  Four properties matter:
 
 Trust model: the body is a pickle, so a worker must only accept frames
 from a coordinator it trusts (the daemon binds to localhost by
-default).  This mirrors ``ProcessPoolExecutor``'s trust of its parent
-process — the cluster is a wider process pool, not a public API.
+default).  This mirrors how a pickle-based process pool trusts its
+parent process — the cluster is a wider process pool, not a public API.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def _trace_bytes(trace_id: "str | None") -> bytes:
 def encode_trial_work(fn: Callable, payload: Any) -> bytes:
     """Pickle ``(fn, payload)`` once, for reuse across a batch's chunks.
 
-    Raises :class:`ClusterError` when the work cannot cross the wire
-    (the same contract as the process backend's pickle probe), so the
-    coordinator can fall back to its local backend deterministically.
+    Raises :class:`ClusterError` when the work cannot cross the wire,
+    so the coordinator can fall back to its local backend
+    deterministically.
     """
     try:
         return pickle.dumps((fn, payload))

@@ -136,7 +136,6 @@ class TrialWorker:
     def __init__(
         self,
         backend: str | None = None,
-        workers: int | None = None,
         registry: MetricsRegistry | None = None,
         span_backhaul: bool = True,
     ):
@@ -144,7 +143,7 @@ class TrialWorker:
         if self.backend_requested == "remote":
             # a worker relaying to more workers would recurse
             raise ClusterError("a trial worker cannot use the 'remote' backend")
-        self._backend = resolve_trial_backend(self.backend_requested, workers)
+        self._backend = resolve_trial_backend(self.backend_requested)
         self.registry = registry if registry is not None else get_default_registry()
         self.span_backhaul = span_backhaul
         self._lock = threading.Lock()
@@ -404,7 +403,6 @@ def make_worker(
     host: str = "127.0.0.1",
     port: int = 0,
     backend: str | None = None,
-    workers: int | None = None,
     registry: MetricsRegistry | None = None,
     register_url: str | None = None,
     advertise: str | None = None,
@@ -416,7 +414,7 @@ def make_worker(
     """Bind a worker daemon (port 0 = ephemeral, for tests).
 
     ``backend`` names the local :class:`TrialBackend` chunks execute on
-    (default ``vectorized``); ``workers`` sizes pool backends;
+    (default ``vectorized``; ``serial`` runs the scalar reference loop);
     ``registry`` scopes the daemon's metrics (default: process-wide).
     ``register_url`` points at a :mod:`repro.cluster.registry` service:
     the handle then announces itself on start (as ``advertise`` if
@@ -430,8 +428,7 @@ def make_worker(
     ``GET /debug/profile`` windows work either way.
     """
     worker = TrialWorker(
-        backend=backend, workers=workers, registry=registry,
-        span_backhaul=span_backhaul,
+        backend=backend, registry=registry, span_backhaul=span_backhaul,
     )
     worker.profiler = get_default_profiler()
     if profile is None:
@@ -465,7 +462,6 @@ def serve_worker_forever(
     host: str = "127.0.0.1",
     port: int = 8101,
     backend: str | None = None,
-    workers: int | None = None,
     log_level: str | None = None,
     register: str | None = None,
     advertise: str | None = None,
@@ -490,7 +486,7 @@ def serve_worker_forever(
     previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
         with make_worker(
-            host=host, port=port, backend=backend, workers=workers,
+            host=host, port=port, backend=backend,
             register_url=register, advertise=advertise,
             heartbeat_ttl=heartbeat_ttl, profile=profile,
         ) as handle:
@@ -519,13 +515,10 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=8101)
     parser.add_argument(
         "--backend",
-        choices=("serial", "thread", "process", "vectorized"),
+        choices=("serial", "vectorized"),
         default="vectorized",
-        help="local backend trial chunks execute on (default vectorized)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for thread/process backends (default: CPU count)",
+        help="local backend trial chunks execute on (default vectorized; "
+        "'serial' is the scalar reference loop)",
     )
     parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
@@ -568,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     serve_worker_forever(
         host=args.host, port=args.port, backend=args.backend,
-        workers=args.workers, log_level=args.log_level,
+        log_level=args.log_level,
         register=args.register, advertise=args.advertise,
         heartbeat_ttl=args.heartbeat_ttl, profile=args.profile,
     )

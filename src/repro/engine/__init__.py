@@ -10,29 +10,26 @@ label builder.  That layer is this package:
   single-flight deduplication and hit/miss/eviction stats;
 - :mod:`repro.engine.jobs` — :class:`LabelDesign` / :class:`LabelJob`
   value objects every entry point normalizes into;
-- :mod:`repro.engine.backends` — pluggable :class:`TrialBackend`
-  execution for the Monte-Carlo trials: serial, thread pool, process
-  pool (GIL-free), vectorized (the whole trial batch as array
-  kernels, see :mod:`repro.stability.kernels` — the default), or
-  remote (the batch sharded across worker daemons with failover, see
-  :mod:`repro.cluster`), selected by name;
+- :mod:`repro.engine.backends` — :class:`TrialBackend` execution for
+  the Monte-Carlo trials: vectorized (the whole trial batch as array
+  kernels, see :mod:`repro.stability.kernels` — the default), serial
+  (the scalar reference loop), or remote (the batch sharded across
+  worker daemons with failover, see :mod:`repro.cluster`), selected by
+  name;
 - :mod:`repro.engine.executor` — thread-pool fan-out for batches, plus
   the trial backend handed to each build;
 - :mod:`repro.engine.service` — :class:`LabelService`, the facade the
   session, server, and CLI call.
 
 Determinism contract: a label served by the engine — cached, batched,
-or trial-parallel on any backend — is byte-identical to one built
+or with its trials on any backend — is byte-identical to one built
 serially by :class:`~repro.label.builder.RankingFactsBuilder` with the
 same seed.
 """
 
 from repro.engine.backends import (
     BACKEND_NAMES,
-    ExecutorTrialBackend,
-    ProcessTrialBackend,
     SerialTrialBackend,
-    ThreadTrialBackend,
     TrialBackend,
     VectorizedTrialBackend,
     resolve_trial_backend,
@@ -52,10 +49,7 @@ __all__ = [
     "BACKEND_NAMES",
     "TrialBackend",
     "SerialTrialBackend",
-    "ThreadTrialBackend",
-    "ProcessTrialBackend",
     "VectorizedTrialBackend",
-    "ExecutorTrialBackend",
     "resolve_trial_backend",
     "run_trial_span",
     "CacheStats",

@@ -1,25 +1,17 @@
 """Concurrent batch execution for label jobs.
 
-:class:`LabelExecutor` owns two layers of concurrency with distinct
-roles:
+:class:`LabelExecutor` owns two things:
 
 - the **job pool** (threads) fans a batch of
   :class:`~repro.engine.jobs.LabelJob` out so independent labels build
-  concurrently;
+  concurrently; batch jobs overlap their cache waits, and the
+  single-flight cache collapses duplicate designs to one build;
 - the **trial backend** (:mod:`repro.engine.backends`) is handed to the
   label builder so each label's Monte-Carlo stability trials (the hot
-  path) fan out *within* a build — serially, over threads, over a
-  process pool, as batched array kernels (``vectorized``, the
-  default), or sharded across remote worker daemons (``remote``,
-  :mod:`repro.cluster`) — selected by name or passed as an instance.
-
-They must be separate: a job thread blocks until its trials finish, so
-sharing one pool would deadlock the moment jobs occupy every worker
-and their trials queue behind them.  On a single-core host the trial
-backend resolves to serial (``trial_workers <= 1`` or a 1-CPU probe —
-parallelism there is pure overhead), while the job pool is kept: batch
-jobs still overlap their cache waits, and the single-flight cache
-collapses duplicate designs to one build.
+  path) run as batched array kernels (``vectorized``, the default), as
+  the scalar reference loop (``serial``), or sharded across remote
+  worker daemons (``remote``, :mod:`repro.cluster`) — selected by name
+  or passed as an instance.
 
 Batches are tracked by id, so a client can submit asynchronously
 (``POST /jobs``) and poll (``GET /jobs/<id>``) — the shape the paper's
@@ -112,31 +104,25 @@ class BatchHandle:
 
 
 class LabelExecutor:
-    """Job-pool fan-out for batches plus a pluggable trial backend.
+    """Job-pool fan-out for batches plus the trial backend.
 
     Parameters
     ----------
     max_workers:
         Job-level concurrency (default: CPU count, at least 2 so
         batches overlap cache waits even on one core).
-    trial_workers:
-        Workers for the Monte-Carlo trial backend; ``None`` means CPU
-        count, and values ``<= 1`` resolve the backend to serial
-        (trials run inline on the building thread).
     max_batches:
         Finished-batch handles retained for polling; when exceeded the
         oldest handle is forgotten (its jobs keep running if still
         live, but it can no longer be polled).  Bounds a long-running
         server's memory.
     trial_backend:
-        Backend for the Monte-Carlo trials: a name — ``"serial"``,
-        ``"thread"``, ``"process"``, ``"vectorized"`` (the default:
-        batched array kernels, the fastest single-machine option for
-        linear scorers), or ``"remote"`` (trials sharded across the
+        Backend for the Monte-Carlo trials: a name — ``"vectorized"``
+        (the default: batched array kernels), ``"serial"`` (the scalar
+        reference loop), or ``"remote"`` (trials sharded across the
         worker daemons named by ``REPRO_TRIAL_WORKERS``, see
         :mod:`repro.cluster`) — resolved via
-        :func:`repro.engine.backends.resolve_trial_backend`, which
-        self-disables worker-pool backends on single-CPU hosts; or an
+        :func:`repro.engine.backends.resolve_trial_backend`; or an
         already-built :class:`TrialBackend` instance (how the CLI hands
         over a remote coordinator configured from ``--workers-from``).
     """
@@ -144,7 +130,6 @@ class LabelExecutor:
     def __init__(
         self,
         max_workers: int | None = None,
-        trial_workers: int | None = None,
         max_batches: int = 256,
         trial_backend: str | TrialBackend | None = None,
     ):
@@ -154,14 +139,13 @@ class LabelExecutor:
             raise EngineError(f"max_workers must be >= 1, got {self._max_workers}")
         if max_batches < 1:
             raise EngineError(f"max_batches must be >= 1, got {max_batches}")
-        self._trial_workers = trial_workers if trial_workers is not None else cpus
         if trial_backend is None or isinstance(trial_backend, str):
             self._trial_backend_requested = (
                 trial_backend if trial_backend is not None else "vectorized"
             )
             # resolve eagerly so an unknown name fails at construction time
             self._trial_backend: TrialBackend = resolve_trial_backend(
-                self._trial_backend_requested, trial_workers
+                self._trial_backend_requested
             )
         else:  # a pre-built backend instance (e.g. a remote coordinator)
             self._trial_backend_requested = trial_backend.name
@@ -182,11 +166,6 @@ class LabelExecutor:
         """Job-level worker count."""
         return self._max_workers
 
-    @property
-    def trial_workers(self) -> int:
-        """Trial-level worker count (``<= 1`` means inline trials)."""
-        return self._trial_workers
-
     def _jobs(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._job_pool is None:
@@ -197,7 +176,7 @@ class LabelExecutor:
             return self._job_pool
 
     def trial_backend(self) -> TrialBackend:
-        """The backend Monte-Carlo trials run on (serial when disabled)."""
+        """The backend Monte-Carlo trials run on."""
         return self._trial_backend
 
     # -- batches ----------------------------------------------------------------
@@ -269,17 +248,15 @@ class LabelExecutor:
         for polling (capped at ``max_batches``).
         """
         backend = self._trial_backend
-        # process and vectorized backends both record why they declined
+        # vectorized and remote backends both record why they declined
         fallback = getattr(backend, "fallback_reason", None)
         with self._lock:
             stats: dict[str, object] = {
                 "max_workers": self._max_workers,
-                "trial_workers": self._trial_workers,
-                # effective, not configured: a fallen-back process backend
-                # runs every trial inline and must not read as parallel
-                # (vectorized trials are batched, not worker-parallel)
-                "parallel_trials": backend.effective_name
-                not in ("serial", "vectorized"),
+                # effective, not configured: a remote backend that fell
+                # back runs every trial locally and must not read as
+                # parallel (vectorized trials are batched, not parallel)
+                "parallel_trials": backend.effective_name == "remote",
                 "trial_backend": self._trial_backend_requested,
                 "trial_backend_effective": backend.effective_name,
                 "trial_backend_fallback": fallback,

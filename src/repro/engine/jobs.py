@@ -18,10 +18,10 @@ never meaning.
 
 Execution note: *how* a label is computed — which
 :class:`~repro.engine.backends.TrialBackend` runs the Monte-Carlo
-trials, how many workers — is deliberately **not** part of a design.
-Backends are byte-identical for equal seeds, so the same fingerprint
-must be a cache hit whether the label was built serially or on a
-process pool.
+trials — is deliberately **not** part of a design.  Backends are
+byte-identical for equal seeds, so the same fingerprint must be a
+cache hit whether the label was built serially, vectorized, or on
+remote workers.
 """
 
 from __future__ import annotations

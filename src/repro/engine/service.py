@@ -10,9 +10,10 @@ session never did:
 - **content-addressed caching** — identical (table, design) pairs are
   one computation, across sessions and entry points, with single-flight
   deduplication under concurrency (:mod:`repro.engine.cache`);
-- **parallel Monte-Carlo** — the builder gets the service's trial pool,
-  fanning the stability trials (the hot path) over workers with
-  bit-identical results (:mod:`repro.stability.montecarlo`);
+- **fast Monte-Carlo** — the builder gets the service's trial backend,
+  which runs the stability trials (the hot path) as batched array
+  kernels or on remote workers with bit-identical results
+  (:mod:`repro.engine.backends`);
 - **batch execution** — many jobs submitted at once, tracked by batch
   id for async polling (:mod:`repro.engine.executor`);
 - **observability** — one ``stats()`` snapshot over cache, executor,
@@ -89,7 +90,7 @@ class LabelOutcome:
 
 
 class LabelService:
-    """Cached, parallel, multi-session label computation.
+    """Cached, batched, multi-session label computation.
 
     Parameters
     ----------
@@ -97,22 +98,16 @@ class LabelService:
         LRU capacity, in labels.
     max_workers:
         Job-level batch concurrency (default: CPU count, min 2).
-    trial_workers:
-        Monte-Carlo trial concurrency (default: CPU count; ``<= 1``
-        runs trials inline — the right call on single-core hosts).
     use_cache:
         Master switch, mostly for benchmarking cold builds.
     trial_backend:
-        The Monte-Carlo trial backend: a name — ``"serial"``,
-        ``"thread"``, ``"process"``, ``"vectorized"`` (the default),
-        or ``"remote"`` (trials sharded across the worker daemons in
-        ``REPRO_TRIAL_WORKERS``; see :mod:`repro.cluster`) — or an
-        already-built :class:`~repro.engine.backends.TrialBackend`
-        instance.  All of them serve byte-identical labels for equal
-        seeds; worker-pool backends self-disable to serial on
-        single-CPU hosts unless ``trial_workers`` forces a pool, while
-        ``vectorized`` batches the trials into array kernels and needs
-        no workers at all.
+        The Monte-Carlo trial backend: a name — ``"vectorized"`` (the
+        default: the trials batched into array kernels), ``"serial"``
+        (the scalar reference loop), or ``"remote"`` (trials sharded
+        across the worker daemons in ``REPRO_TRIAL_WORKERS``; see
+        :mod:`repro.cluster`) — or an already-built
+        :class:`~repro.engine.backends.TrialBackend` instance.  All of
+        them serve byte-identical labels for equal seeds.
     cache_max_bytes:
         Optional cache budget in (estimated) bytes; evicts
         least-recently-used labels past it (see
@@ -138,7 +133,6 @@ class LabelService:
         self,
         cache_size: int = 64,
         max_workers: int | None = None,
-        trial_workers: int | None = None,
         use_cache: bool = True,
         trial_backend: "str | TrialBackend | None" = None,
         cache_max_bytes: int | None = None,
@@ -167,7 +161,6 @@ class LabelService:
             self._tiers = TieredLabelCache(self._cache, self._store)
         self._executor = LabelExecutor(
             max_workers=max_workers,
-            trial_workers=trial_workers,
             trial_backend=trial_backend,
         )
         self._use_cache = use_cache
@@ -555,7 +548,7 @@ class LabelService:
         )
 
     def shutdown(self) -> None:
-        """Stop the worker pools and close the store (if any)."""
+        """Stop the job pool and trial backend, and close the store (if any)."""
         self._executor.shutdown()
         if self._store is not None:
             self._store.close()

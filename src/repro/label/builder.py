@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -198,31 +197,14 @@ class RankingFactsBuilder:
         self._seed = seed
         return self
 
-    def with_executor(self, executor: Executor | None) -> "RankingFactsBuilder":
-        """Fan the Monte-Carlo stability trials out over ``executor``.
-
-        The estimators use one RNG stream per trial, so the parallel
-        label is bit-identical to the serial one for equal seeds.
-        ``None`` (the default) keeps the trials on the calling thread.
-        Prefer :meth:`with_trial_backend`, which can also cross process
-        boundaries; this wrapper remains for caller-owned thread pools.
-        """
-        if executor is None:
-            self._backend = None
-            return self
-        from repro.engine.backends import ExecutorTrialBackend
-
-        self._backend = ExecutorTrialBackend(executor)
-        return self
-
     def with_trial_backend(
         self, backend: "TrialBackend | None"
     ) -> "RankingFactsBuilder":
         """Run the Monte-Carlo stability trials on ``backend``.
 
-        Serial, thread, and process backends all produce byte-identical
-        labels for equal seeds (per-trial RNG streams + ordered
-        reassembly).  ``None`` keeps the trials on the calling thread.
+        Every backend produces byte-identical labels for equal seeds
+        (per-trial RNG streams + ordered reassembly).  ``None`` keeps
+        the trials on the calling thread.
         """
         self._backend = backend
         return self

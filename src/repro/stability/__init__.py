@@ -19,7 +19,7 @@ Three estimators, matching the paper's three framings:
   data": attribute noise injection with the same movement metrics.
 
 The two Monte-Carlo estimators (and the per-attribute variant) run
-their trials through pluggable backends; when the scorer is a plain
+their trials through a trial backend; when the scorer is a plain
 linear one, the ``vectorized`` backend computes the entire trial batch
 as array operations via :mod:`repro.stability.kernels` —
 byte-identical to the serial loop, minus the per-trial Python.
@@ -27,7 +27,7 @@ byte-identical to the serial loop, minus the per-trial Python.
 
 from repro.stability.gaps import GapReport, score_gap_analysis
 from repro.stability.kernels import dispatch_kernel
-from repro.stability.montecarlo import run_trials, trial_rng
+from repro.stability.montecarlo import trial_rng
 from repro.stability.per_attribute import AttributeStability, per_attribute_stability
 from repro.stability.perturbation import (
     PerturbationOutcome,
@@ -49,7 +49,6 @@ __all__ = [
     "score_gap_analysis",
     "AttributeStability",
     "per_attribute_stability",
-    "run_trials",
     "trial_rng",
     "dispatch_kernel",
 ]

@@ -8,16 +8,15 @@ read "the ranking survives a 40% change to GRE's weight but flips under
 a 6% change to PubCount's" directly off the detailed widget.
 
 The bisection probes run their trials through a module-level function
-over a plain payload, so the loop parallelizes on any
-:class:`~repro.engine.backends.TrialBackend` (threads or processes)
-with byte-identical results; the ``vectorized`` backend computes each
+over a plain payload, so the loop runs on any
+:class:`~repro.engine.backends.TrialBackend` (including remote
+workers) with byte-identical results; the ``vectorized`` backend computes each
 probe's batch as one array program
 (:func:`repro.stability.kernels.run_attribute_kernel`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,7 +25,7 @@ import numpy as np
 from repro.errors import StabilityError
 from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import run_payload_trials, trial_rng
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -65,7 +64,7 @@ class AttributeTrialPayload:
     """Everything one single-weight-jitter trial needs, picklable.
 
     The scorer travels as the object itself (the repo's scorers pickle
-    cleanly), so subclass behaviour survives the process boundary.
+    cleanly), so subclass behaviour survives the cluster wire.
     """
 
     table: Table
@@ -80,7 +79,7 @@ class AttributeTrialPayload:
 
 
 def _attribute_trial(payload: AttributeTrialPayload, trial: int) -> bool:
-    """One Monte-Carlo draw; module-level so a process backend can ship it."""
+    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
     rng = trial_rng(payload.seed, trial)
     delta = float(rng.uniform(-payload.epsilon, payload.epsilon) * payload.scale)
     perturbed = payload.scorer.perturbed({payload.attribute: delta})
@@ -127,7 +126,6 @@ def per_attribute_stability(
     probability: float = 0.5,
     iterations: int = 8,
     seed: int = 20180610,
-    executor: Executor | None = None,
     backend: "TrialBackend | None" = None,
 ) -> list[AttributeStability]:
     """Critical single-weight change per attribute, most fragile first.
@@ -151,13 +149,10 @@ def per_attribute_stability(
     seed:
         RNG seed, fixed for reproducible labels.  Each Monte-Carlo
         trial draws from its own ``[seed, trial]`` stream, so results
-        match between serial and parallel execution.
-    executor:
-        Optional :class:`concurrent.futures.Executor` the trials of
-        each bisection probe fan out over (when ``backend`` is unset).
+        match on every backend.
     backend:
-        Optional :class:`~repro.engine.backends.TrialBackend`; takes
-        precedence over ``executor`` and may cross process boundaries.
+        Optional :class:`~repro.engine.backends.TrialBackend` the trials
+        of each bisection probe run on; ``None`` runs them inline.
     """
     if k < 1:
         raise StabilityError(f"k must be >= 1, got {k}")
@@ -165,7 +160,6 @@ def per_attribute_stability(
         raise StabilityError(f"trials must be >= 1, got {trials}")
     if not 0.0 < probability <= 1.0:
         raise StabilityError(f"probability must be in (0, 1], got {probability}")
-    backend = backend_for(executor, backend)
     baseline = rank_table(table, scorer, id_column)
     baseline_top = frozenset(baseline.item_ids()[: min(k, baseline.size)])
     k = min(k, baseline.size)

@@ -11,16 +11,15 @@ ranking to change".
 The trial itself is a module-level function over a plain payload
 (:func:`_perturbation_trial` / :class:`PerturbationTrialPayload`), so
 the loop can run on any :class:`~repro.engine.backends.TrialBackend` —
-including across processes — with byte-identical results.  On the
-``vectorized`` backend the whole batch collapses into one array
-program (:func:`repro.stability.kernels.run_perturbation_kernel`):
+including remote workers over the cluster wire — with byte-identical
+results.  On the ``vectorized`` backend the whole batch collapses into
+one array program (:func:`repro.stability.kernels.run_perturbation_kernel`):
 same RNG streams, same accumulation order, same bytes, no per-trial
 re-ranking.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,7 +29,7 @@ from repro.errors import StabilityError
 from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import run_payload_trials, trial_rng
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -86,10 +85,10 @@ class PerturbationTrialPayload:
     """Everything one weight-jitter trial needs, as picklable plain data.
 
     The scorer travels as the object itself (the repo's scorers pickle
-    cleanly), so subclass behaviour survives the process boundary.  The
+    cleanly), so subclass behaviour survives the cluster wire.  The
     jitter draws one uniform per weight in the scorer's declaration
-    order, which is what keeps parallel results byte-identical to
-    serial ones.  The baseline travels as its item-id sequence, not a
+    order, which is what keeps batched and sharded results
+    byte-identical to serial ones.  The baseline travels as its item-id sequence, not a
     full :class:`Ranking` — shipping the latter would pickle the table
     a second time per chunk.
     """
@@ -124,7 +123,7 @@ def _jittered_scorer(
 def _perturbation_trial(
     payload: PerturbationTrialPayload, trial: int
 ) -> tuple[float, float, bool]:
-    """One Monte-Carlo draw; module-level so a process backend can ship it."""
+    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
     rng = trial_rng(payload.seed, trial)
     perturbed = rank_table(
         payload.table, _jittered_scorer(payload.scorer, payload.epsilon, rng),
@@ -154,16 +153,12 @@ class WeightPerturbationStability:
     trials:
         Monte-Carlo draws per epsilon.  Each trial draws from its own
         ``[seed, trial]`` RNG stream, so outcomes do not depend on
-        execution order and the loop parallelizes deterministically.
+        execution order and batched or sharded runs stay deterministic.
     seed:
         RNG seed; fixed by default so labels are reproducible.
-    executor:
-        Optional :class:`concurrent.futures.Executor`; when given (and
-        ``backend`` is not), the trials of each ``assess_at`` fan out
-        over its workers with results identical to the serial path.
     backend:
-        Optional :class:`~repro.engine.backends.TrialBackend`; takes
-        precedence over ``executor`` and may cross process boundaries.
+        Optional :class:`~repro.engine.backends.TrialBackend` the trials
+        of each ``assess_at`` run on; ``None`` runs them inline.
     """
 
     name = "weight perturbation"
@@ -176,7 +171,6 @@ class WeightPerturbationStability:
         k: int = 10,
         trials: int = 50,
         seed: int = 20180610,
-        executor: Executor | None = None,
         backend: "TrialBackend | None" = None,
     ):
         if k < 1:
@@ -191,7 +185,7 @@ class WeightPerturbationStability:
         self._k = k
         self._trials = trials
         self._seed = seed
-        self._backend = backend_for(executor, backend)
+        self._backend = backend
         self._baseline = rank_table(table, scorer, id_column)
         self._baseline_top = frozenset(self._baseline.item_ids()[: self._k])
 

@@ -10,7 +10,7 @@ are directly comparable in the A1 ablation benchmark.
 
 As with the other estimators, the trial is a module-level function
 over a plain payload so any :class:`~repro.engine.backends.TrialBackend`
-(threads or processes) reproduces the serial results byte-for-byte —
+(including remote workers) reproduces the serial results byte-for-byte —
 and the ``vectorized`` backend batches the whole value-noise tensor
 into one array program
 (:func:`repro.stability.kernels.run_uncertainty_kernel`) whenever the
@@ -19,7 +19,6 @@ scorer is a plain linear one.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,7 +28,7 @@ from repro.errors import StabilityError
 from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import ScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import run_payload_trials, trial_rng
 from repro.stability.perturbation import PerturbationOutcome
 from repro.tabular.column import NumericColumn
 from repro.tabular.table import Table
@@ -45,8 +44,8 @@ class UncertaintyTrialPayload:
     """Everything one attribute-noise trial needs, as picklable data.
 
     ``attribute_stds`` keeps the scorer's attribute order: noise is
-    drawn per attribute *in that order*, which is what keeps parallel
-    results byte-identical to serial ones.  The baseline travels as its
+    drawn per attribute *in that order*, which is what keeps batched
+    and sharded results byte-identical to serial ones.  The baseline travels as its
     item-id sequence, not a full :class:`Ranking` — shipping the latter
     would pickle the table a second time per chunk.
     """
@@ -83,7 +82,7 @@ def _noisy_table(
 def _uncertainty_trial(
     payload: UncertaintyTrialPayload, trial: int
 ) -> tuple[float, float, bool]:
-    """One Monte-Carlo draw; module-level so a process backend can ship it."""
+    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
     rng = trial_rng(payload.seed, trial)
     perturbed = rank_table(
         _noisy_table(payload.table, payload.attribute_stds, payload.epsilon, rng),
@@ -118,18 +117,14 @@ class DataUncertaintyStability:
     trials:
         Monte-Carlo draws per epsilon.  Each trial draws from its own
         ``[seed, trial]`` RNG stream, so outcomes do not depend on
-        execution order and the loop parallelizes deterministically.
+        execution order and batched or sharded runs stay deterministic.
     seed:
         RNG seed; fixed by default so labels are reproducible.
-    executor:
-        Optional :class:`concurrent.futures.Executor`; when given (and
-        ``backend`` is not), the trials of each ``assess_at`` fan out
-        over its workers with results identical to the serial path.
     backend:
-        Optional :class:`~repro.engine.backends.TrialBackend`; takes
-        precedence over ``executor`` and may cross process boundaries
-        (the scorer must then be picklable, which the repo's scorers
-        are).
+        Optional :class:`~repro.engine.backends.TrialBackend` the trials
+        of each ``assess_at`` run on; ``None`` runs them inline.  The
+        remote backend pickles the scorer, which the repo's scorers
+        allow.
     """
 
     name = "data uncertainty"
@@ -142,7 +137,6 @@ class DataUncertaintyStability:
         k: int = 10,
         trials: int = 50,
         seed: int = 20180610,
-        executor: Executor | None = None,
         backend: "TrialBackend | None" = None,
     ):
         if k < 1:
@@ -157,7 +151,7 @@ class DataUncertaintyStability:
         self._k = k
         self._trials = trials
         self._seed = seed
-        self._backend = backend_for(executor, backend)
+        self._backend = backend
         self._baseline = rank_table(table, scorer, id_column)
         self._baseline_top = frozenset(self._baseline.item_ids()[: self._k])
         # pre-compute each scoring attribute's natural scale

@@ -234,6 +234,55 @@ class TestWorkerCommand:
         assert "1/1 job(s) succeeded" in out
         assert "remote" in out
 
+    def test_removed_backends_and_worker_count_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps(BATCH_SPEC))
+        for argv in (
+            ["batch", "--spec", str(spec), "--trial-backend", "process"],
+            ["worker", "--backend", "thread"],
+            ["worker", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
+
+class TestServeTrialBackendEnv:
+    """``serve`` reads REPRO_TRIAL_BACKEND before checking the flags that
+    only apply with ``--trial-backend remote``."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        """Run ``serve`` up to the point it would block; capture its stats."""
+        captured = {}
+
+        def fake_serve_forever(session, **_):
+            captured["executor"] = session.service.stats()["executor"]
+            session.service.shutdown()
+
+        monkeypatch.setattr("repro.app.server.serve_forever", fake_serve_forever)
+        monkeypatch.setenv("REPRO_TRIAL_BACKEND", "remote")
+        monkeypatch.delenv("REPRO_TRIAL_REGISTRY", raising=False)
+        return captured
+
+    def test_workers_from_env_with_env_backend(self, served, monkeypatch):
+        from repro.cluster.worker import make_worker
+
+        with make_worker() as worker:
+            monkeypatch.setenv("REPRO_TRIAL_WORKERS", worker.address)
+            assert main(["serve", *CS_ARGS, "--workers-from", "env"]) == 0
+        assert served["executor"]["trial_backend"] == "remote"
+        assert served["executor"]["trial_cluster"]["workers_configured"] == 1
+
+    def test_registry_with_env_backend(self, served):
+        from repro.cluster.registry import make_registry
+
+        with make_registry() as registry:
+            assert main(["serve", *CS_ARGS, "--registry", registry.url]) == 0
+        cluster = served["executor"]["trial_cluster"]
+        assert served["executor"]["trial_backend"] == "remote"
+        assert cluster["membership"]["registry"] == registry.url
+
 
 BATCH_SPEC = {"jobs": [{
     "dataset": "cs-departments",

@@ -195,9 +195,10 @@ class TestTrialBackendEnv:
             assert executor["trial_backend_effective"] == "serial"
 
     def test_unknown_env_backend_fails_at_startup(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIAL_BACKEND", "quantum")
-        with pytest.raises(EngineError, match="unknown trial backend"):
-            make_server()
+        for name in ("quantum", "thread", "process"):
+            monkeypatch.setenv("REPRO_TRIAL_BACKEND", name)
+            with pytest.raises(EngineError, match="unknown trial backend"):
+                make_server()
 
     def test_bound_session_service_wins_over_env(self, served, monkeypatch):
         # the default session brought its own service; the env var only

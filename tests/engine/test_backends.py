@@ -1,30 +1,26 @@
-"""Tests for repro.engine.backends: pluggable Monte-Carlo trial execution.
+"""Tests for repro.engine.backends: Monte-Carlo trial execution.
 
 The acceptance-critical properties live here:
 
-- labels built on the process backend are byte-identical to serial
+- only ``serial``, ``vectorized`` and ``remote`` resolve, on any host;
+- labels built on the vectorized backend are byte-identical to serial
   labels for equal seeds;
-- parallel backends self-disable to serial on single-CPU hosts (and on
-  ``trial_workers <= 1``) unless a worker count is forced;
-- the process backend falls back cleanly to serial when the trial work
-  does not pickle, recording the reason for the stats endpoint.
+- the vectorized backend falls back per run to the scalar loop for work
+  it has no kernel for, recording the reason for the stats endpoint.
 """
 
-import threading
+import os
 
 import numpy as np
 import pytest
 
+from repro.cluster.coordinator import RemoteTrialBackend, _chunk_spans
 from repro.engine import LabelDesign, LabelService
 from repro.engine.backends import (
     BACKEND_NAMES,
-    ExecutorTrialBackend,
-    ProcessTrialBackend,
     SerialTrialBackend,
-    ThreadTrialBackend,
     TrialBackend,
     VectorizedTrialBackend,
-    _chunk_spans,
     resolve_trial_backend,
 )
 from repro.errors import EngineError
@@ -44,11 +40,6 @@ def _square_trial(payload, trial):
     return payload["base"] + trial * trial
 
 
-def _type_error_trial(payload, trial):
-    """A trial with a genuine bug (raises TypeError on every backend)."""
-    return payload["base"] + None
-
-
 def jittered_table(n=30, seed=11):
     rng = np.random.default_rng(seed)
     return Table.from_dict(
@@ -63,24 +54,12 @@ def jittered_table(n=30, seed=11):
 SCORER = LinearScoringFunction({"a": 0.5, "b": 0.5})
 
 
-@pytest.fixture()
-def process_backend():
-    backend = ProcessTrialBackend(workers=2)
-    yield backend
-    backend.shutdown()
-
-
-@pytest.fixture()
-def thread_backend():
-    backend = ThreadTrialBackend(workers=4)
-    yield backend
-    backend.shutdown()
-
-
 class TestResolution:
     def test_unknown_name_rejected(self):
-        with pytest.raises(EngineError, match="unknown trial backend"):
-            resolve_trial_backend("fibers")
+        # thread and process included: old configs may still name them
+        for name in ("fibers", "thread", "process"):
+            with pytest.raises(EngineError, match="unknown trial backend"):
+                resolve_trial_backend(name)
 
     def test_serial_by_name(self):
         assert isinstance(resolve_trial_backend("serial"), SerialTrialBackend)
@@ -90,52 +69,31 @@ class TestResolution:
 
     def test_vectorized_ignores_cpu_count(self, monkeypatch):
         # no worker pool to disable: one CPU still vectorizes
-        monkeypatch.setattr("repro.engine.backends.os.cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert isinstance(resolve_trial_backend("vectorized"), VectorizedTrialBackend)
-        assert isinstance(
-            resolve_trial_backend("vectorized", 1), VectorizedTrialBackend
-        )
 
     def test_default_is_vectorized(self, monkeypatch):
-        # the soak-tested kernels are the default since PR 4, on any host
+        # the soak-tested kernels are the default, on any host
         for cpus in (1, 4):
-            monkeypatch.setattr("repro.engine.backends.os.cpu_count", lambda c=cpus: c)
+            monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
             assert isinstance(resolve_trial_backend(), VectorizedTrialBackend)
-
-    def test_thread_by_name_on_multicore(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.backends.os.cpu_count", lambda: 4)
-        backend = resolve_trial_backend("thread")
-        assert isinstance(backend, ThreadTrialBackend)
-        assert backend.workers == 4
-
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_parallel_backends_self_disable_on_one_cpu(self, name, monkeypatch):
-        monkeypatch.setattr("repro.engine.backends.os.cpu_count", lambda: 1)
-        assert isinstance(resolve_trial_backend(name), SerialTrialBackend)
-
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_explicit_single_worker_means_serial(self, name):
-        assert isinstance(resolve_trial_backend(name, 1), SerialTrialBackend)
-
-    def test_forced_workers_yield_real_pools_even_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.backends.os.cpu_count", lambda: 1)
-        assert isinstance(resolve_trial_backend("thread", 2), ThreadTrialBackend)
-        assert isinstance(resolve_trial_backend("process", 2), ProcessTrialBackend)
 
     def test_every_name_resolves(self):
         for name in BACKEND_NAMES:
-            backend = resolve_trial_backend(name, 2)
+            backend = resolve_trial_backend(name)
             assert isinstance(backend, TrialBackend)
             backend.shutdown()
 
 
 class TestChunking:
+    """The remote coordinator's split of a batch into worker chunks."""
+
     def test_spans_cover_all_trials_in_order(self):
         spans = _chunk_spans(trials=10, workers=2, chunk_size=3)
         assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
     def test_default_chunking_amortizes(self):
-        # a few chunks per worker, never one-trial-per-IPC dispatch
+        # a few chunks per worker, never one-trial-per-request dispatch
         spans = _chunk_spans(trials=100, workers=2, chunk_size=None)
         assert 1 < len(spans) <= 2 * 4
         covered = [t for start, stop in spans for t in range(start, stop)]
@@ -155,128 +113,46 @@ class TestRunOrdering:
         backend = SerialTrialBackend()
         assert backend.run(_square_trial, {"base": 7}, 12) == self.expected()
 
-    def test_thread(self, thread_backend):
-        assert thread_backend.run(_square_trial, {"base": 7}, 12) == self.expected()
-
-    def test_process(self, process_backend):
-        assert process_backend.run(_square_trial, {"base": 7}, 12) == self.expected()
-
-    def test_executor_adapter(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            backend = ExecutorTrialBackend(pool)
-            assert backend.run(_square_trial, {"base": 7}, 12) == self.expected()
-            backend.shutdown()  # a no-op: the pool must stay usable
-            assert pool.submit(len, "ok").result() == 2
-
     def test_run_payload_trials_inline_matches_backends(self):
         inline = run_payload_trials(_square_trial, {"base": 7}, 12)
         assert inline == self.expected()
 
 
-class TestProcessFallback:
-    def test_unpicklable_payload_falls_back_to_serial(self, process_backend):
-        payload = {"base": 7, "poison": threading.Lock()}  # locks don't pickle
-        expected = [_square_trial(payload, t) for t in range(6)]
-        assert process_backend.run(_square_trial, payload, 6) == expected
-        assert process_backend.fallback_reason is not None
-        assert "picklable" in process_backend.fallback_reason
-        assert process_backend.effective_name == "serial"
-
-    def test_fallback_is_sticky(self, process_backend):
-        process_backend.run(_square_trial, {"base": 0, "poison": lambda: None}, 2)
-        # a later, perfectly picklable run stays serial (and still works)
-        assert process_backend.run(_square_trial, {"base": 1}, 4) == [
-            _square_trial({"base": 1}, t) for t in range(4)
-        ]
-        assert process_backend.effective_name == "serial"
-
-    def test_later_unpicklable_payload_degrades_at_result_time(self, process_backend):
-        """The pickle probe runs once; later bad payloads still fall back."""
-        expected_ok = [_square_trial({"base": 1}, t) for t in range(4)]
-        assert process_backend.run(_square_trial, {"base": 1}, 4) == expected_ok
-        assert process_backend.fallback_reason is None
-        poisoned = {"base": 2, "poison": threading.Lock()}
-        expected = [_square_trial(poisoned, t) for t in range(4)]
-        assert process_backend.run(_square_trial, poisoned, 4) == expected
-        assert process_backend.effective_name == "serial"
-        assert process_backend.fallback_reason is not None
-
-    def test_degrade_leaves_no_pool_manager_behind(self):
-        """A degraded pool's manager thread must exit.
-
-        The ``concurrent.futures`` atexit hook joins every live manager,
-        so a stranded one hangs interpreter exit.  Stranding is a race,
-        so several fresh pools are degraded.
-        """
-        poisoned = {"base": 2, "poison": threading.Lock()}
-        for _ in range(5):
-            backend = ProcessTrialBackend(workers=2)
-            backend.run(_square_trial, {"base": 1}, 4)
-            manager = backend._pool._executor_manager_thread
-            backend.run(_square_trial, poisoned, 4)
-            assert backend.effective_name == "serial"
-            assert not manager.is_alive()
-
-    def test_genuine_trial_fault_propagates_without_sticky_degrade(
-        self, process_backend
-    ):
-        """A buggy trial must raise, not silently disable the backend."""
-        with pytest.raises(TypeError):
-            process_backend.run(_type_error_trial, {"base": 1}, 4)
-        assert process_backend.fallback_reason is None
-        assert process_backend.effective_name == "process"
-        expected = [_square_trial({"base": 1}, t) for t in range(4)]
-        assert process_backend.run(_square_trial, {"base": 1}, 4) == expected
-
-    def test_single_trial_short_circuits_the_pool(self):
-        backend = ProcessTrialBackend(workers=2)
-        assert backend.run(_square_trial, {"base": 3}, 1) == [3]
-        assert backend._pool is None  # never paid the pool start-up
-        backend.shutdown()
-
-    def test_worker_and_chunk_validation(self):
-        with pytest.raises(EngineError, match=">= 2 workers"):
-            ProcessTrialBackend(workers=1)
-        with pytest.raises(EngineError, match="chunk_size"):
-            ProcessTrialBackend(workers=2, chunk_size=0)
-        with pytest.raises(EngineError, match=">= 2 workers"):
-            ThreadTrialBackend(workers=1)
-
-
 class TestBackendsMatchSerialEstimates:
-    """The three estimators give identical results on every backend."""
+    """The three estimators give identical results on every local backend."""
 
-    def test_weight_perturbation(self, process_backend, thread_backend):
+    BACKENDS = (SerialTrialBackend, VectorizedTrialBackend)
+
+    def test_weight_perturbation(self):
         table = jittered_table()
-        serial = WeightPerturbationStability(table, SCORER, "name", trials=8, seed=5)
-        for backend in (thread_backend, process_backend):
-            parallel = WeightPerturbationStability(
-                table, SCORER, "name", trials=8, seed=5, backend=backend
+        inline = WeightPerturbationStability(table, SCORER, "name", trials=8, seed=5)
+        for make in self.BACKENDS:
+            other = WeightPerturbationStability(
+                table, SCORER, "name", trials=8, seed=5, backend=make()
             )
             for epsilon in (0.0, 0.05, 0.3):
-                assert serial.assess_at(epsilon) == parallel.assess_at(epsilon)
+                assert inline.assess_at(epsilon) == other.assess_at(epsilon)
 
-    def test_data_uncertainty(self, process_backend):
+    def test_data_uncertainty(self):
         table = jittered_table()
-        serial = DataUncertaintyStability(table, SCORER, "name", trials=8, seed=5)
-        parallel = DataUncertaintyStability(
-            table, SCORER, "name", trials=8, seed=5, backend=process_backend
-        )
-        for epsilon in (0.0, 0.1, 0.5):
-            assert serial.assess_at(epsilon) == parallel.assess_at(epsilon)
+        inline = DataUncertaintyStability(table, SCORER, "name", trials=8, seed=5)
+        for make in self.BACKENDS:
+            other = DataUncertaintyStability(
+                table, SCORER, "name", trials=8, seed=5, backend=make()
+            )
+            for epsilon in (0.0, 0.1, 0.5):
+                assert inline.assess_at(epsilon) == other.assess_at(epsilon)
 
-    def test_per_attribute(self, process_backend):
+    def test_per_attribute(self):
         table = jittered_table()
-        serial = per_attribute_stability(
+        inline = per_attribute_stability(
             table, SCORER, "name", trials=6, iterations=3, seed=5
         )
-        parallel = per_attribute_stability(
-            table, SCORER, "name", trials=6, iterations=3, seed=5,
-            backend=process_backend,
-        )
-        assert serial == parallel
+        for make in self.BACKENDS:
+            assert inline == per_attribute_stability(
+                table, SCORER, "name", trials=6, iterations=3, seed=5,
+                backend=make(),
+            )
 
 
 class TestServiceIntegration:
@@ -301,40 +177,23 @@ class TestServiceIntegration:
             }
         )
 
-    def test_process_backend_labels_byte_identical_to_serial(self):
-        """The acceptance criterion: same bytes, serial vs process."""
-        table = self.mc_table()
-        serial = self.DESIGN.builder_for(table, dataset_name="mc").build()
-        with LabelService(
-            use_cache=False, trial_backend="process", trial_workers=2
-        ) as svc:
-            outcome = svc.build_label(table, self.DESIGN, "mc")
-        assert render_json(outcome.facts.label) == render_json(serial.label)
-
     def test_service_reports_requested_and_effective_backend(self):
-        with LabelService(trial_backend="process", trial_workers=2) as svc:
+        with LabelService(trial_backend="serial") as svc:
             executor = svc.stats()["executor"]
-            assert executor["trial_backend"] == "process"
-            assert executor["trial_backend_effective"] == "process"
-            assert executor["trial_backend_fallback"] is None
-            assert executor["parallel_trials"] is True
-
-    def test_stats_track_runtime_fallback(self):
-        """After a pickling fallback, stats must stop reading as parallel."""
-        with LabelService(trial_backend="process", trial_workers=2) as svc:
-            backend = svc.executor.trial_backend()
-            backend.run(_square_trial, {"base": 0, "poison": lambda: None}, 2)
-            executor = svc.stats()["executor"]
-            assert executor["trial_backend"] == "process"
+            assert executor["trial_backend"] == "serial"
             assert executor["trial_backend_effective"] == "serial"
-            assert "picklable" in executor["trial_backend_fallback"]
+            assert executor["trial_backend_fallback"] is None
             assert executor["parallel_trials"] is False
 
-    def test_service_reports_self_disabled_backend(self):
-        with LabelService(trial_backend="process", trial_workers=1) as svc:
+    def test_stats_track_runtime_fallback(self):
+        """A remote backend that fell back locally must not read as parallel."""
+        with LabelService(trial_backend=RemoteTrialBackend([])) as svc:
+            backend = svc.executor.trial_backend()
+            backend.run(_square_trial, {"base": 0}, 2)
             executor = svc.stats()["executor"]
-            assert executor["trial_backend"] == "process"
+            assert executor["trial_backend"] == "remote"
             assert executor["trial_backend_effective"] == "serial"
+            assert "no workers configured" in executor["trial_backend_fallback"]
             assert executor["parallel_trials"] is False
 
     def test_unknown_backend_fails_at_construction(self):
@@ -346,7 +205,7 @@ class TestServiceIntegration:
         table = self.mc_table()
         with LabelService(trial_backend="serial") as svc:
             a = svc.build_label(table, self.DESIGN, "mc")
-        with LabelService(trial_backend="process", trial_workers=2) as svc:
+        with LabelService(trial_backend=RemoteTrialBackend([])) as svc:
             b = svc.build_label(table, self.DESIGN, "mc")
         assert a.fingerprint == b.fingerprint
 

@@ -32,7 +32,7 @@ def _noop_runner(job):
 
 @pytest.fixture()
 def executor():
-    ex = LabelExecutor(max_workers=2, max_batches=2, trial_workers=1)
+    ex = LabelExecutor(max_workers=2, max_batches=2)
     yield ex
     ex.shutdown()
 
@@ -58,7 +58,6 @@ class TestSubmissionCounters:
         # the default backend is vectorized, which adds its two counters
         assert set(executor.stats()) == {
             "max_workers",
-            "trial_workers",
             "parallel_trials",
             "trial_backend",
             "trial_backend_effective",

@@ -1,18 +1,17 @@
-"""Tests for the parallel Monte-Carlo plumbing (repro.stability.montecarlo)."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""Tests for the Monte-Carlo plumbing (repro.stability.montecarlo)."""
 
 import numpy as np
 import pytest
 
+from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
 from repro.ranking import LinearScoringFunction
 from repro.stability import (
     DataUncertaintyStability,
     WeightPerturbationStability,
     per_attribute_stability,
-    run_trials,
     trial_rng,
 )
+from repro.stability.montecarlo import run_payload_trials
 from repro.tabular import Table
 
 
@@ -31,9 +30,11 @@ SCORER = LinearScoringFunction({"a": 0.5, "b": 0.5})
 
 
 @pytest.fixture()
-def pool():
-    with ThreadPoolExecutor(max_workers=4) as executor:
-        yield executor
+def vectorized():
+    """The kernel backend; each test checks the kernels actually ran."""
+    backend = VectorizedTrialBackend()
+    yield backend
+    assert backend.kernel_runs > 0 and backend.scalar_runs == 0
 
 
 class TestPrimitives:
@@ -44,41 +45,50 @@ class TestPrimitives:
         draws = {trial_rng(3, t).uniform() for t in range(20)}
         assert len(draws) == 20
 
-    def test_run_trials_preserves_order(self, pool):
-        assert run_trials(lambda t: t * t, 10, pool) == [t * t for t in range(10)]
-        assert run_trials(lambda t: t * t, 10, None) == [t * t for t in range(10)]
+    def test_run_trials_preserves_order(self):
+        expected = [7 + t * t for t in range(10)]
+        for backend in (None, SerialTrialBackend(), VectorizedTrialBackend()):
+            assert run_payload_trials(
+                lambda base, t: base + t * t, 7, 10, backend
+            ) == expected
 
 
 class TestParallelEqualsSerial:
-    def test_weight_perturbation(self, pool):
+    """The vectorized kernels reproduce the serial reference exactly."""
+
+    def test_weight_perturbation(self, vectorized):
         table = jittered_table()
         serial = WeightPerturbationStability(
-            table, SCORER, "name", trials=12, seed=5
+            table, SCORER, "name", trials=12, seed=5, backend=SerialTrialBackend()
         )
-        parallel = WeightPerturbationStability(
-            table, SCORER, "name", trials=12, seed=5, executor=pool
+        batched = WeightPerturbationStability(
+            table, SCORER, "name", trials=12, seed=5, backend=vectorized
         )
         for epsilon in (0.0, 0.05, 0.3):
-            assert serial.assess_at(epsilon) == parallel.assess_at(epsilon)
+            assert serial.assess_at(epsilon) == batched.assess_at(epsilon)
 
-    def test_data_uncertainty(self, pool):
+    def test_data_uncertainty(self, vectorized):
         table = jittered_table()
-        serial = DataUncertaintyStability(table, SCORER, "name", trials=12, seed=5)
-        parallel = DataUncertaintyStability(
-            table, SCORER, "name", trials=12, seed=5, executor=pool
+        serial = DataUncertaintyStability(
+            table, SCORER, "name", trials=12, seed=5, backend=SerialTrialBackend()
+        )
+        batched = DataUncertaintyStability(
+            table, SCORER, "name", trials=12, seed=5, backend=vectorized
         )
         for epsilon in (0.0, 0.1, 0.5):
-            assert serial.assess_at(epsilon) == parallel.assess_at(epsilon)
+            assert serial.assess_at(epsilon) == batched.assess_at(epsilon)
 
-    def test_per_attribute(self, pool):
+    def test_per_attribute(self, vectorized):
         table = jittered_table()
         serial = per_attribute_stability(
-            table, SCORER, "name", trials=8, iterations=4, seed=5
+            table, SCORER, "name", trials=8, iterations=4, seed=5,
+            backend=SerialTrialBackend(),
         )
-        parallel = per_attribute_stability(
-            table, SCORER, "name", trials=8, iterations=4, seed=5, executor=pool
+        batched = per_attribute_stability(
+            table, SCORER, "name", trials=8, iterations=4, seed=5,
+            backend=vectorized,
         )
-        assert serial == parallel
+        assert serial == batched
 
     def test_trials_are_order_independent(self):
         """The per-trial streams mean trial i's outcome ignores trial j."""
