@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.app.session import DemoSession
 from repro.engine.backends import BACKEND_NAMES
-from repro.errors import RankingFactsError
+from repro.errors import RankingFactsError, StoreError
 from repro.label.render_html import render_html
 from repro.label.render_json import render_json
 from repro.label.render_markdown import render_markdown
@@ -1117,7 +1117,9 @@ def _run_store(args: argparse.Namespace) -> str:
 
     if args.store_command == "show":
         with _open_store(args) as store:
-            fingerprint = store.resolve_prefix(args.fingerprint)
+            fingerprint = _resolve_id(
+                store.resolve_prefix, "fingerprint", args.fingerprint
+            )
             facts = store.get(fingerprint)
             provenance = store.provenance(fingerprint)
         if facts is None:
@@ -1163,8 +1165,8 @@ def _run_store(args: argparse.Namespace) -> str:
     from repro.label.compare import diff_labels
 
     with _open_store(args) as store:
-        fp_before = store.resolve_prefix(args.before)
-        fp_after = store.resolve_prefix(args.after)
+        fp_before = _resolve_id(store.resolve_prefix, "fingerprint", args.before)
+        fp_after = _resolve_id(store.resolve_prefix, "fingerprint", args.after)
         before = store.get(fp_before)
         after = store.get(fp_after)
     if before is None or after is None:
@@ -1316,6 +1318,17 @@ def _ambiguous_id_error(
     return RankingFactsError("\n".join(lines))
 
 
+def _resolve_id(resolve: Callable[[str], str], kind: str, prefix: str) -> str:
+    """``resolve(prefix)``, listing the candidates when it is ambiguous."""
+    try:
+        return resolve(prefix)
+    except StoreError as exc:
+        matches = getattr(exc, "matches", None)
+        if matches:
+            raise _ambiguous_id_error(kind, prefix, matches, str(exc)) from exc
+        raise
+
+
 def _run_trace(args: argparse.Namespace) -> str:
     import json
     import urllib.error
@@ -1368,21 +1381,11 @@ def _run_trace(args: argparse.Namespace) -> str:
             profile=profile if isinstance(profile, dict) else None,
         )
 
-    from repro.errors import StoreError
-
     with _open_store(args) as store:
         if args.trace_command == "ls":
             records = store.trace_records(limit=args.limit)
             return _format_trace_listing(store.path, records)
-        try:
-            trace_id = store.resolve_trace_prefix(args.trace_id)
-        except StoreError as exc:
-            matches = getattr(exc, "matches", None)
-            if matches:
-                raise _ambiguous_id_error(
-                    "trace id", args.trace_id, matches, str(exc)
-                ) from exc
-            raise
+        trace_id = _resolve_id(store.resolve_trace_prefix, "trace id", args.trace_id)
         record = store.get_trace(trace_id)
         if record is None:  # expired between resolve and get
             raise RankingFactsError(f"no archived trace {args.trace_id!r}")

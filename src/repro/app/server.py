@@ -96,7 +96,7 @@ from repro.datasets.loaders import list_datasets
 from repro.engine.jobs import JobStatus, LabelJob
 from repro.engine.service import LabelService
 from repro.engine.streaming import LabelEventQueue
-from repro.errors import EngineError, RankingFactsError
+from repro.errors import EngineError, RankingFactsError, StoreError
 from repro.label.render_html import render_html
 from repro.label.render_json import render_json
 from repro.telemetry import (
@@ -495,6 +495,9 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
     # helpers stay safe if a subclass calls them directly)
     _status = 0
     _trace_id: "str | None" = None
+    _method = _route = ""
+    _started = 0.0
+    _recorded = True  # only _handle arms the per-request metrics
 
     server_version = "RankingFacts/2.0"
     # chunked transfer (the streaming endpoints) requires HTTP/1.1;
@@ -531,9 +534,12 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             # echo the request's trace so a client (or curl -v) can
             # grep server/worker logs for this exact request
             self.send_header("X-Trace-Id", self._trace_id)
+        self._status = status
+        # counted before the response leaves, so a client scraping
+        # /metrics right after it already sees its own request
+        self._record_request()
         self.end_headers()
         self.wfile.write(body)
-        self._status = status
 
     def _send(self, status: int, content_type: str, payload: str) -> None:
         self._send_raw(
@@ -578,7 +584,9 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             tag_names=("method",),
         )
         inflight.inc(method=method)
-        started = time.perf_counter()
+        self._method, self._route = method, route
+        self._started = time.perf_counter()
+        self._recorded = False
         try:
             with span(
                 "http.request",
@@ -599,22 +607,31 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
                     self._send_json(500, {"error": f"internal error: {exc}"})
         finally:
             inflight.dec(method=method)
-            elapsed = time.perf_counter() - started
-            status = str(self._status or 500)
-            self.metrics.histogram(
-                "repro_http_request_seconds",
-                "HTTP request latency by endpoint",
-                tag_names=("method", "route"),
-            ).observe(elapsed, method=method, route=route)
-            self.metrics.counter(
-                "repro_http_requests_total",
-                "HTTP requests served, by endpoint and status",
-                tag_names=("method", "route", "status"),
-            ).inc(method=method, route=route, status=status)
+            # responses that bypassed _send_raw (SSE streams, aborted
+            # requests) are counted here instead
+            self._record_request()
             _log.debug(
-                "%s %s -> %s in %.6fs", method, route, status, elapsed,
+                "%s %s -> %s in %.6fs", method, route, self._status or 500,
+                time.perf_counter() - self._started,
                 extra={"trace_id": self._trace_id},
             )
+
+    def _record_request(self) -> None:
+        """Count this request and observe its latency, once per request."""
+        if self._recorded:
+            return
+        self._recorded = True
+        method, route = self._method, self._route
+        self.metrics.histogram(
+            "repro_http_request_seconds",
+            "HTTP request latency by endpoint",
+            tag_names=("method", "route"),
+        ).observe(time.perf_counter() - self._started, method=method, route=route)
+        self.metrics.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by endpoint and status",
+            tag_names=("method", "route", "status"),
+        ).inc(method=method, route=route, status=str(self._status or 500))
 
     def _metric_registries(self) -> list[MetricsRegistry]:
         """The union ``/metrics`` renders and the SLO engine reads."""
@@ -675,8 +692,6 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
         if session.stage is not SessionStage.LABELED:
             session.generate_label()
         return session.last_label()
-
-    # -- session views (shared by default and token routes) -------------------------
 
     # -- streaming (SSE) ---------------------------------------------------------
 
@@ -873,8 +888,8 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             )
         elif parts == ["debug", "profile"]:
             self._get_debug_profile()
-        elif parts[0] == "profiles":
-            self._get_profiles(parts[1:])
+        elif parts[0] in ("labels", "traces", "profiles"):
+            self._get_archive(parts)
         elif parts == ["sessions"]:
             self._send_json(200, {"sessions": self.registry.tokens()})
         elif parts[0] == "session" and len(parts) == 3:
@@ -886,10 +901,6 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             self._get_session_view(session, parts[2])
         elif parts[0] == "jobs" and len(parts) == 2:
             self._get_batch(parts[1])
-        elif parts[0] == "labels":
-            self._get_labels(parts[1:])
-        elif parts[0] == "traces":
-            self._get_traces(parts[1:])
         elif len(parts) == 1 and parts[0] in (
             "label", "label.html", "label.stream", "preview", "attributes",
         ):
@@ -897,72 +908,121 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
-    # -- the durable label archive (requires a store) --------------------------
+    # -- the durable archive: labels, traces, profiles (requires a store) -------
 
-    def _store(self):
+    def _get_archive(self, parts: list[str]) -> None:
+        """``GET /labels|/traces|/profiles[/<id-or-prefix>]``.
+
+        The three kinds share one path: a listing honouring
+        ``?limit=N`` (N >= 1), and a lookup that resolves an id prefix
+        (404 listing the candidates under ``matches`` when ambiguous)
+        and 404s an entry that expired between resolve and get.  Only
+        the store methods and the found entry's body differ.
+        """
         store = self.registry.service.store
         if store is None:
             raise RankingFactsError(
                 "no label store configured; start the server with "
                 "--store PATH (or REPRO_LABEL_STORE) to keep a durable "
-                "label archive"
+                "archive of labels, traces and profiles"
             )
-        return store
+        kind, rest = parts[0], parts[1:]
+        listing, default_limit, resolve, fetch, body = {
+            "labels": (
+                store.records, None, store.resolve_prefix, store.get,
+                self._label_body,
+            ),
+            "traces": (
+                store.trace_records, 50, store.resolve_trace_prefix,
+                store.get_trace, self._trace_body,
+            ),
+            "profiles": (
+                store.profile_records, 50, store.resolve_profile_prefix,
+                store.get_profile, self._profile_body,
+            ),
+        }[kind]
 
-    def _stored_facts(self, store, fingerprint_or_prefix: str):
-        """Resolve a (possibly prefixed) fingerprint to its stored facts."""
-        from repro.errors import StoreError
+        def lookup(prefix: str):
+            try:
+                key = resolve(prefix)
+            except StoreError as exc:
+                error: dict[str, object] = {"error": str(exc)}
+                if getattr(exc, "matches", None):
+                    error["matches"] = exc.matches
+                self._send_json(404, error)
+                return None
+            entry = fetch(key)
+            if entry is None:  # expired between resolve and get
+                self._send_json(
+                    404, {"error": f"no archived {kind[:-1]} {prefix!r}"}
+                )
+                return None
+            return key, entry
 
-        try:
-            fingerprint = store.resolve_prefix(fingerprint_or_prefix)
-        except StoreError as exc:
-            self._send_json(404, {"error": str(exc)})
-            return None, None
-        facts = store.get(fingerprint)
-        if facts is None:  # expired between resolve and get
-            self._send_json(
-                404, {"error": f"no stored label {fingerprint_or_prefix!r}"}
-            )
-            return None, None
-        return fingerprint, facts
-
-    def _get_labels(self, parts: list[str]) -> None:
-        store = self._store()
-        if not parts:
-            records = store.records()
-            self._send_json(200, {"labels": records, "count": len(records)})
-            return
-        if len(parts) == 1:
-            fingerprint, facts = self._stored_facts(store, parts[0])
-            if fingerprint is None:
-                return
-            provenance = store.provenance(fingerprint)
-            self._send_json(200, {
-                "fingerprint": fingerprint,
-                "label": json.loads(render_json(facts.label)),
-                "provenance": None if provenance is None else provenance.as_dict(),
-            })
-            return
-        if len(parts) == 3 and parts[1] == "diff":
+        if not rest:
+            records = listing(limit=self._listing_limit(default_limit))
+            self._send_json(200, {kind: records, "count": len(records)})
+        elif len(rest) == 1:
+            found = lookup(rest[0])
+            if found is not None:
+                self._send_json(200, body(store, *found))
+        elif kind == "labels" and len(rest) == 3 and rest[1] == "diff":
             from repro.label.compare import diff_labels
 
-            fp_a, facts_a = self._stored_facts(store, parts[0])
-            if fp_a is None:
-                return
-            fp_b, facts_b = self._stored_facts(store, parts[2])
-            if fp_b is None:
-                return
-            # LabelError (different dataset/k) surfaces as a 400 via
-            # the RankingFactsError boundary in do_GET
-            drift = diff_labels(facts_a.label, facts_b.label)
-            self._send_json(200, {
-                "before": fp_a,
-                "after": fp_b,
-                "diff": drift.as_dict(),
-                "summary": drift.summary_lines(),
-            })
-            return
-        self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            before = lookup(rest[0])
+            after = before and lookup(rest[2])
+            if after:
+                # LabelError (different dataset/k) surfaces as a 400 via
+                # the RankingFactsError boundary in do_GET
+                drift = diff_labels(before[1].label, after[1].label)
+                self._send_json(200, {
+                    "before": before[0],
+                    "after": after[0],
+                    "diff": drift.as_dict(),
+                    "summary": drift.summary_lines(),
+                })
+        else:
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+
+    def _listing_limit(self, default: int | None) -> int | None:
+        _, query = self._split()
+        values = parse_qs(query).get("limit", [])
+        if not values:
+            return default
+        try:
+            limit = int(values[-1])
+        except ValueError as exc:
+            raise RankingFactsError(f"bad limit: {exc}") from exc
+        if limit < 1:
+            # SQLite reads a negative LIMIT as "no limit at all"
+            raise RankingFactsError(f"bad limit: {limit} (must be >= 1)")
+        return limit
+
+    @staticmethod
+    def _label_body(store, fingerprint: str, facts) -> dict:
+        provenance = store.provenance(fingerprint)
+        return {
+            "fingerprint": fingerprint,
+            "label": json.loads(render_json(facts.label)),
+            "provenance": None if provenance is None else provenance.as_dict(),
+        }
+
+    @staticmethod
+    def _trace_body(store, trace_id: str, record) -> dict:
+        spans = record.spans
+        payload = {**record.summary(), "spans": spans, "tree": span_tree(spans)}
+        # a slow trace archived while continuous profiling ran has a
+        # linked capture: surface it so clients can print the top
+        # frames under the slow spans
+        profile = store.profile_for_trace(trace_id)
+        if profile is not None:
+            payload["profile_id"] = profile.profile_id
+            payload["profile"] = profile.report
+        return payload
+
+    @staticmethod
+    def _profile_body(store, profile_id: str, record) -> dict:
+        return {**record.summary(), "report": record.report}
 
     def _get_healthz(self) -> None:
         """``GET /healthz``: liveness plus advisory SLO burn.
@@ -1030,104 +1090,6 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             )
             payload["profile_id"] = profile_id
         self._send_json(200, payload)
-
-    def _get_profiles(self, parts: list[str]) -> None:
-        """``GET /profiles[/<id>]``: the archived-profile listing/detail."""
-        from repro.errors import StoreError
-
-        store = self.registry.service.store
-        if store is None:
-            raise RankingFactsError(
-                "no profile archive configured; start the server with "
-                "--store PATH (or REPRO_LABEL_STORE) to keep captured "
-                "profiles"
-            )
-        if not parts:
-            _, query = self._split()
-            limit_values = parse_qs(query).get("limit", [])
-            try:
-                limit = int(limit_values[-1]) if limit_values else 50
-            except ValueError as exc:
-                raise RankingFactsError(f"bad limit: {exc}") from exc
-            records = store.profile_records(limit=limit)
-            self._send_json(200, {"profiles": records, "count": len(records)})
-            return
-        if len(parts) == 1:
-            try:
-                profile_id = store.resolve_profile_prefix(parts[0])
-            except StoreError as exc:
-                body: dict[str, object] = {"error": str(exc)}
-                matches = getattr(exc, "matches", None)
-                if matches:
-                    body["matches"] = matches
-                self._send_json(404, body)
-                return
-            record = store.get_profile(profile_id)
-            if record is None:  # expired between resolve and get
-                self._send_json(
-                    404, {"error": f"no archived profile {parts[0]!r}"}
-                )
-                return
-            self._send_json(200, {**record.summary(), "report": record.report})
-            return
-        self._send_json(404, {"error": f"unknown path {self.path!r}"})
-
-    # -- the durable trace archive (requires a store) ---------------------------
-
-    def _get_traces(self, parts: list[str]) -> None:
-        from repro.errors import StoreError
-
-        store = self.registry.service.store
-        if store is None:
-            raise RankingFactsError(
-                "no trace archive configured; start the server with "
-                "--store PATH (or REPRO_LABEL_STORE) to keep completed "
-                "traces"
-            )
-        if not parts:
-            _, query = self._split()
-            limit_values = parse_qs(query).get("limit", [])
-            try:
-                limit = int(limit_values[-1]) if limit_values else 50
-            except ValueError as exc:
-                raise RankingFactsError(f"bad limit: {exc}") from exc
-            records = store.trace_records(limit=limit)
-            self._send_json(200, {"traces": records, "count": len(records)})
-            return
-        if len(parts) == 1:
-            try:
-                trace_id = store.resolve_trace_prefix(parts[0])
-            except StoreError as exc:
-                # an ambiguous prefix carries the candidate ids, so the
-                # client can list them instead of dead-ending
-                body: dict[str, object] = {"error": str(exc)}
-                matches = getattr(exc, "matches", None)
-                if matches:
-                    body["matches"] = matches
-                self._send_json(404, body)
-                return
-            record = store.get_trace(trace_id)
-            if record is None:  # expired between resolve and get
-                self._send_json(
-                    404, {"error": f"no archived trace {parts[0]!r}"}
-                )
-                return
-            spans = record.spans
-            payload = {
-                **record.summary(),
-                "spans": spans,
-                "tree": span_tree(spans),
-            }
-            # a slow trace archived while continuous profiling ran has
-            # a linked capture: surface it so clients can print the
-            # top frames under the slow spans
-            profile = store.profile_for_trace(trace_id)
-            if profile is not None:
-                payload["profile_id"] = profile.profile_id
-                payload["profile"] = profile.report
-            self._send_json(200, payload)
-            return
-        self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
     def _get_batch(self, batch_id: str) -> None:
         _, query = self._split()

@@ -288,19 +288,23 @@ def _noise_matrices(
         except Exception as exc:
             raise _KernelFallback(f"noisy attribute {attr!r} unusable: {exc}") from exc
         masks[attr] = ~np.isnan(columns[attr])
-    noise: dict[str, np.ndarray] = {}
+    sizes = {attr: int(mask.sum()) for attr, mask in masks.items()}
     n = table.num_rows
+    noise = {
+        attr: np.zeros((n, trials), dtype=np.float64)
+        for attr in masks
+        if attr in scoring
+    }
     for t in range(trials):
         rng = trial_rng(payload.seed, start + t)
         for attr, std in payload.attribute_stds:
             if std == 0.0:
                 continue
-            mask = masks[attr]
-            draw = rng.normal(0.0, payload.epsilon * std, size=int(mask.sum()))
-            if attr not in scoring:
+            draw = rng.normal(0.0, payload.epsilon * std, size=sizes[attr])
+            matrix = noise.get(attr)
+            if matrix is None:
                 continue  # draw consumed, column never scored
-            matrix = noise.setdefault(attr, np.zeros((n, trials), dtype=np.float64))
-            matrix[:, t][mask] = draw  # assignment: repeats overwrite
+            matrix[:, t][masks[attr]] = draw  # assignment: repeats overwrite
     return noise
 
 

@@ -1,50 +1,53 @@
-"""The durable label store: a content-addressed L2 cache on SQLite.
+"""The durable archive: labels, traces and profiles in one SQLite file.
 
-:class:`LabelStore` persists built labels keyed by the engine's content
-fingerprint (:mod:`repro.engine.fingerprint`), so labels survive the
-process: a restarted server warm-starts from disk, several server
-processes on one host share one archive, and every label carries a
-provenance record (:mod:`repro.store.provenance`) answering *how* it
-was produced.
+:class:`LabelStore` is a content-addressed L2 cache for built labels,
+keyed by the engine's content fingerprint
+(:mod:`repro.engine.fingerprint`), so labels survive the process: a
+restarted server warm-starts from disk, several server processes on one
+host share one archive, and every label carries a provenance record
+(:mod:`repro.store.provenance`) answering *how* it was produced.
+
+The same file archives what explains a label.  There are three
+**kinds** of entry, each one table with its own key:
+
+- **labels** — pickled label payloads plus provenance, keyed by
+  fingerprint;
+- **traces** — completed traces kept by the tail-based sampler
+  (:class:`repro.telemetry.collect.TraceCollector`), stored as
+  canonical-JSON span lists and keyed by trace id;
+- **profiles** — collapsed-stack captures from the sampling profiler
+  (:mod:`repro.telemetry.profiling`), stored as canonical JSON and
+  optionally linked to the slow trace that triggered them.
+
+Every kind runs through one code path: one insert, one fetch (expiry,
+hit/miss counting, last-access touch), one listing, one prefix resolver
+and one GC loop.  What differs between kinds is data — a private
+per-kind record holding its table, key, TTL, SQL and names.
 
 Design points:
 
-- **Byte-exact payloads.**  A label is stored as its pickle bytes
-  (``pickle.HIGHEST_PROTOCOL``) and served back from exactly those
-  bytes — :meth:`get_bytes` exposes them so tests can assert the
-  round trip is the identity.
+- **Byte-exact payloads.**  Labels are stored as their pickle bytes
+  (``pickle.HIGHEST_PROTOCOL``), traces and profiles as canonical JSON,
+  and each is served back from exactly those bytes — :meth:`get_bytes`
+  and :meth:`get_trace_bytes` expose them so tests can assert the
+  round trip is the identity, including across a process restart.
 - **WAL mode.**  The database runs in write-ahead-log mode, so
   concurrent readers never block the (serialized) writers — the mode
   that makes one store file safe to share between processes.  A busy
   timeout covers writer contention.
 - **Garbage collection, not eviction-on-read.**  Durable storage is
-  cheap, so bounds are applied by explicit or insert-time
-  :meth:`gc`: TTL-expired labels first, then oldest-``last_access``
-  labels until a ``max_bytes`` budget fits.  Reads bump
-  ``last_access``/``hits``, so the GC victim order is true LRU.
+  cheap, so bounds are applied by explicit or insert-time :meth:`gc`.
+  Labels obey ``ttl``; traces and profiles obey ``trace_ttl`` (which
+  falls back to ``ttl``).  All three share *one* ``max_bytes`` budget
+  and one victim order: expired profiles, traces and labels first,
+  then least-recently-accessed profiles, traces and labels.  A profile
+  only annotates a trace, a trace only explains a label, and a label
+  costs a rebuild — and the newest label survives any budget.  Reads
+  bump ``last_access``, so the order within a kind is true LRU.
 - **Misses are ``None``.**  Only configuration and corruption raise
   (:class:`~repro.errors.StoreError`); a miss must stay cheap because
   the tiered cache (:mod:`repro.store.tiering`) falls through to a
   rebuild on every one.
-
-Since schema v2 the same file doubles as the **durable trace archive**:
-completed traces kept by the tail-based sampler
-(:class:`repro.telemetry.collect.TraceCollector`) land in a ``traces``
-table beside the labels as canonical-JSON span lists, so a trace
-retrieved after a server restart is byte-identical to the one archived.
-Traces share the labels' GC discipline — and the *one* ``max_bytes``
-budget — with a fixed victim order: TTL-expired traces, then expired
-labels, then least-recently-accessed traces, then LRU labels; traces
-are always cheaper to lose than labels, and the newest label survives
-any budget (the same guarantee the label-only GC made).
-
-Since schema v3 the file also archives **CPU profiles**: collapsed-
-stack captures from the sampling profiler
-(:mod:`repro.telemetry.profiling`), stored as canonical JSON with an
-optional ``trace_id`` linking a capture to the slow archived trace
-that triggered it.  Profiles share the traces' TTL and sit at the
-bottom of the GC victim order — diagnostics are always cheaper to
-lose than the traces they annotate, let alone the labels.
 
 One :class:`LabelStore` holds one connection guarded by a lock, which
 is the stdlib-safe shape for ``ThreadingHTTPServer`` handlers; open
@@ -60,7 +63,8 @@ import sqlite3
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any
 
 from repro.errors import StoreError
@@ -174,18 +178,106 @@ class StoredProfile:
         }
 
 
-def _encode_trace_payload(spans: list) -> bytes:
-    """Canonical JSON — one encoding, so round trips are byte-exact."""
+def _canonical_json(value: Any) -> bytes:
+    """One encoding for trace and profile payloads: byte-exact round trips."""
     return json.dumps(
-        spans, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
 
 
-def _encode_profile_payload(report: dict) -> bytes:
-    """Canonical JSON for profile reports (same discipline as traces)."""
-    return json.dumps(
-        report, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+@dataclass(frozen=True, eq=False)
+class _Kind:
+    """Everything that differs between the archive's kinds of entry."""
+
+    table: str
+    key: str
+    record: type
+    #: prefix of this kind's ``stats()`` and ``gc()`` keys
+    prefix: str
+    #: the :class:`LabelStore` property bounding this kind's age
+    ttl: str
+    #: rows an eviction pass never goes below
+    keep: int
+    #: newest first, no payloads; one ``LIMIT ?`` parameter
+    list_sql: str
+    #: bumps the access accounting; ``(now, key)`` parameters
+    touch_sql: str
+    span: str
+    noun: str
+    id_noun: str
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The fetched columns: every record field but the key and access time."""
+        return tuple(
+            f.name for f in fields(self.record)
+            if f.name not in (self.key, "last_access")
+        )
+
+
+_LABELS = _Kind(
+    table="labels",
+    key="fingerprint",
+    record=StoredLabel,
+    prefix="",
+    ttl="ttl",
+    # oldest-accessed first, but never the newest label: an oversized
+    # label still persists once (mirrors the L1 cache's same guarantee)
+    keep=1,
+    list_sql=(
+        "SELECT l.fingerprint, l.size_bytes, l.created_at, l.last_access, "
+        "l.hits, p.dataset_name, p.engine_version "
+        "FROM labels l LEFT JOIN provenance p USING (fingerprint) "
+        "ORDER BY l.created_at DESC LIMIT ?"
+    ),
+    touch_sql=(
+        "UPDATE labels SET last_access = ?, hits = hits + 1 "
+        "WHERE fingerprint = ?"
+    ),
+    span="store.get",
+    noun="stored label",
+    id_noun="fingerprint",
+)
+_TRACES = _Kind(
+    table="traces",
+    key="trace_id",
+    record=StoredTrace,
+    prefix="trace_",
+    ttl="trace_ttl",
+    keep=0,
+    list_sql=(
+        "SELECT trace_id, root_name, status, started_at, duration, "
+        "span_count, size_bytes, sampled, created_at "
+        "FROM traces ORDER BY created_at DESC LIMIT ?"
+    ),
+    touch_sql="UPDATE traces SET last_access = ? WHERE trace_id = ?",
+    span="store.get_trace",
+    noun="archived trace",
+    id_noun="trace id",
+)
+_PROFILES = _Kind(
+    table="profiles",
+    key="profile_id",
+    record=StoredProfile,
+    prefix="profile_",
+    ttl="trace_ttl",
+    keep=0,
+    list_sql=(
+        "SELECT profile_id, trace_id, source, started_at, duration, hz, "
+        "sample_count, size_bytes, created_at "
+        "FROM profiles ORDER BY created_at DESC LIMIT ?"
+    ),
+    touch_sql="UPDATE profiles SET last_access = ? WHERE profile_id = ?",
+    span="store.get_profile",
+    noun="archived profile",
+    id_noun="profile id",
+)
+_KINDS = (_LABELS, _TRACES, _PROFILES)
+#: GC order: a profile only annotates a trace, a trace only explains a
+#: label, and a label costs a rebuild
+_VICTIM_ORDER = (_PROFILES, _TRACES, _LABELS)
+#: per-kind counters, reported in ``stats()`` under the kind's prefix
+_COUNTERS = ("puts", "gets", "hits", "misses", "expirations", "evictions")
 
 
 class LabelStore:
@@ -197,16 +289,17 @@ class LabelStore:
         The SQLite file (created if missing, parent directory must
         exist).  ``":memory:"`` works for tests but defeats the point.
     max_bytes:
-        Optional payload budget; when an insert pushes the total past
-        it, :meth:`gc` trims expired then least-recently-accessed
-        labels until it fits.
+        Optional payload budget over all three kinds; when an insert
+        pushes the total past it, :meth:`gc` trims expired then
+        least-recently-accessed entries until it fits.
     ttl:
         Optional label age limit in seconds (against ``created_at``);
         an expired label reads as a miss and is dropped by the next GC.
     trace_ttl:
-        Optional age limit for archived traces; defaults to ``ttl``
-        (``None`` = traces live as long as labels do).  Traces age out
-        independently of labels but share the ``max_bytes`` budget.
+        Optional age limit for archived traces and profiles; defaults
+        to ``ttl`` (``None`` = they live as long as labels do).  They
+        age out independently of labels but share the ``max_bytes``
+        budget.
     timeout:
         SQLite busy timeout in seconds (cross-process writer
         contention).
@@ -237,25 +330,12 @@ class LabelStore:
         self._trace_ttl = trace_ttl
         self._clock = clock
         self._lock = threading.RLock()
-        self._puts = 0
-        self._gets = 0
-        self._hits = 0
-        self._misses = 0
-        self._expirations = 0
-        self._evictions = 0
-        self._decode_failures = 0
-        self._trace_puts = 0
-        self._trace_gets = 0
-        self._trace_hits = 0
-        self._trace_misses = 0
-        self._trace_expirations = 0
-        self._trace_evictions = 0
-        self._profile_puts = 0
-        self._profile_gets = 0
-        self._profile_hits = 0
-        self._profile_misses = 0
-        self._profile_expirations = 0
-        self._profile_evictions = 0
+        # keyed like stats(): "hits", "trace_hits", "profile_hits", ...
+        self._counts = dict.fromkeys(
+            [kind.prefix + name for kind in _KINDS for name in _COUNTERS]
+            + ["decode_failures"],
+            0,
+        )
         try:
             self._connection = sqlite3.connect(
                 self.path, timeout=timeout, check_same_thread=False
@@ -290,17 +370,114 @@ class LabelStore:
 
     @property
     def trace_ttl(self) -> float | None:
-        """The effective trace age limit (falls back to ``ttl``)."""
+        """The effective trace and profile age limit (falls back to ``ttl``)."""
         return self._trace_ttl if self._trace_ttl is not None else self._ttl
 
-    # -- internals -------------------------------------------------------------
+    # -- the one archive path --------------------------------------------------
 
-    def _expired(self, created_at: float) -> bool:
-        return self._ttl is not None and self._clock() - created_at > self._ttl
-
-    def _trace_expired(self, created_at: float) -> bool:
-        ttl = self.trace_ttl
+    def _expired(self, kind: _Kind, created_at: float) -> bool:
+        ttl = getattr(self, kind.ttl)
         return ttl is not None and self._clock() - created_at > ttl
+
+    def _insert(
+        self,
+        kind: _Kind,
+        key: str,
+        payload: bytes,
+        row: dict[str, Any],
+        *also: tuple[str, tuple],
+    ) -> int:
+        """Write one entry (plus ``also`` statements in the same
+        transaction), count it, and apply the configured bounds."""
+        now = self._clock()
+        row = {
+            kind.key: key, **row, "payload": payload,
+            "size_bytes": len(payload), "created_at": now, "last_access": now,
+        }
+        sql = (
+            f"INSERT OR REPLACE INTO {kind.table} ({', '.join(row)}) "
+            f"VALUES ({', '.join('?' * len(row))})"
+        )
+        with self._lock:
+            with self._connection:
+                self._connection.execute(sql, tuple(row.values()))
+                for statement, params in also:
+                    self._connection.execute(statement, params)
+            self._counts[kind.prefix + "puts"] += 1
+            # trace_ttl falls back to ttl, so this covers every bound
+            if self._max_bytes is not None or self.trace_ttl is not None:
+                self._gc_locked(self._max_bytes, self._ttl, self.trace_ttl)
+        return len(payload)
+
+    def _fetch(self, kind: _Kind, key: str) -> Any | None:
+        """One entry as its record type, or ``None`` on miss/expiry."""
+        counts, prefix = self._counts, kind.prefix
+        with span(kind.span, **{kind.key: key[:12]}), self._lock:
+            counts[prefix + "gets"] += 1
+            row = self._connection.execute(
+                f"SELECT {', '.join(kind.columns)} FROM {kind.table} "
+                f"WHERE {kind.key} = ?",
+                (key,),
+            ).fetchone()
+            if row is None:
+                counts[prefix + "misses"] += 1
+                return None
+            entry = dict(zip(kind.columns, row))
+            if self._expired(kind, entry["created_at"]):
+                with self._connection:
+                    self._connection.execute(
+                        f"DELETE FROM {kind.table} WHERE {kind.key} = ?", (key,)
+                    )
+                counts[prefix + "expirations"] += 1
+                counts[prefix + "misses"] += 1
+                return None
+            counts[prefix + "hits"] += 1
+            now = self._clock()
+            with self._connection:
+                self._connection.execute(kind.touch_sql, (now, key))
+            if "hits" in entry:  # mirror the touch's hit bump
+                entry["hits"] += 1
+            return kind.record(**{kind.key: key}, **entry, last_access=now)
+
+    def _list(self, kind: _Kind, limit: int | None) -> list[dict[str, Any]]:
+        with self._lock:
+            cursor = self._connection.execute(
+                kind.list_sql, (-1 if limit is None else int(limit),)
+            )
+            names = [column[0] for column in cursor.description]
+            return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+    def _resolve(self, kind: _Kind, prefix: str) -> str:
+        """Expand a key prefix to the unique full key (like a VCS).
+
+        An ambiguous prefix raises a :class:`~repro.errors.StoreError`
+        carrying the matching keys (newest first, up to ten) on its
+        ``matches`` attribute, so callers can list the candidates
+        instead of dead-ending.
+        """
+        if not prefix:
+            raise StoreError(f"empty {kind.id_noun} prefix")
+        if not all(c in "0123456789abcdef" for c in prefix.lower()):
+            # reject, don't sanitize: stripping LIKE wildcards would
+            # make "%" silently resolve to an arbitrary entry
+            raise StoreError(f"{kind.id_noun} prefix {prefix!r} is not hex")
+        with self._lock:
+            rows = self._connection.execute(
+                f"SELECT {kind.key} FROM {kind.table} WHERE {kind.key} LIKE ? "
+                "ORDER BY created_at DESC LIMIT 10",
+                (prefix.lower() + "%",),
+            ).fetchall()
+        if not rows:
+            raise StoreError(f"no {kind.noun} matches {kind.id_noun} {prefix!r}")
+        if len(rows) > 1:
+            error = StoreError(
+                f"{kind.id_noun} prefix {prefix!r} is ambiguous "
+                f"({len(rows)}{'+' if len(rows) == 10 else ''} matches); "
+                "give more characters"
+            )
+            error.matches = [row[0] for row in rows]
+            raise error
+        return rows[0][0]
 
     def _gc_locked(
         self,
@@ -308,93 +485,48 @@ class LabelStore:
         ttl: float | None,
         trace_ttl: float | None,
     ) -> dict[str, int]:
-        expired = evicted = trace_expired = trace_evicted = 0
-        profile_expired = profile_evicted = 0
+        ttls = {"ttl": ttl, "trace_ttl": trace_ttl}
+        expired = dict.fromkeys(_KINDS, 0)
+        evicted = dict.fromkeys(_KINDS, 0)
         with self._connection:
-            # victim order: expired profiles, expired traces, expired
-            # labels, LRU profiles, LRU traces, LRU labels — a profile
-            # only annotates a trace, a trace only explains a label,
-            # and a label costs a rebuild
-            if trace_ttl is not None:
-                cursor = self._connection.execute(
-                    "DELETE FROM profiles WHERE created_at < ?",
-                    (self._clock() - trace_ttl,),
-                )
-                profile_expired = cursor.rowcount
-                cursor = self._connection.execute(
-                    "DELETE FROM traces WHERE created_at < ?",
-                    (self._clock() - trace_ttl,),
-                )
-                trace_expired = cursor.rowcount
-            if ttl is not None:
-                cursor = self._connection.execute(
-                    "DELETE FROM labels WHERE created_at < ?",
-                    (self._clock() - ttl,),
-                )
-                expired = cursor.rowcount
+            for kind in _VICTIM_ORDER:
+                if ttls[kind.ttl] is not None:
+                    expired[kind] = self._connection.execute(
+                        f"DELETE FROM {kind.table} WHERE created_at < ?",
+                        (self._clock() - ttls[kind.ttl],),
+                    ).rowcount
             if max_bytes is not None:
-                # one budget over both tables; totals are aggregated
+                # one budget over every table; totals are aggregated
                 # once and adjusted per victim, not re-scanned
-                label_total, label_count = self._connection.execute(
-                    "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM labels"
-                ).fetchone()
-                trace_total, trace_count = self._connection.execute(
-                    "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM traces"
-                ).fetchone()
-                profile_total, profile_count = self._connection.execute(
-                    "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM profiles"
-                ).fetchone()
-                total = label_total + trace_total + profile_total
-                while total > max_bytes and profile_count > 0:
-                    victim = self._connection.execute(
-                        "SELECT profile_id, size_bytes FROM profiles "
-                        "ORDER BY last_access ASC, profile_id ASC LIMIT 1"
+                sizes = {
+                    kind: self._connection.execute(
+                        "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) "
+                        f"FROM {kind.table}"
                     ).fetchone()
-                    self._connection.execute(
-                        "DELETE FROM profiles WHERE profile_id = ?", (victim[0],)
-                    )
-                    total -= victim[1]
-                    profile_count -= 1
-                    profile_evicted += 1
-                while total > max_bytes and trace_count > 0:
-                    victim = self._connection.execute(
-                        "SELECT trace_id, size_bytes FROM traces "
-                        "ORDER BY last_access ASC, trace_id ASC LIMIT 1"
-                    ).fetchone()
-                    self._connection.execute(
-                        "DELETE FROM traces WHERE trace_id = ?", (victim[0],)
-                    )
-                    total -= victim[1]
-                    trace_count -= 1
-                    trace_evicted += 1
-                # oldest-accessed first, but never the newest label: an
-                # oversized label still persists once (mirrors the L1
-                # cache's same guarantee)
-                while total > max_bytes and label_count > 1:
-                    victim = self._connection.execute(
-                        "SELECT fingerprint, size_bytes FROM labels "
-                        "ORDER BY last_access ASC, fingerprint ASC LIMIT 1"
-                    ).fetchone()
-                    self._connection.execute(
-                        "DELETE FROM labels WHERE fingerprint = ?", (victim[0],)
-                    )
-                    total -= victim[1]
-                    label_count -= 1
-                    evicted += 1
-        self._expirations += expired
-        self._evictions += evicted
-        self._trace_expirations += trace_expired
-        self._trace_evictions += trace_evicted
-        self._profile_expirations += profile_expired
-        self._profile_evictions += profile_evicted
-        return {
-            "expired": expired,
-            "evicted": evicted,
-            "trace_expired": trace_expired,
-            "trace_evicted": trace_evicted,
-            "profile_expired": profile_expired,
-            "profile_evicted": profile_evicted,
-        }
+                    for kind in _KINDS
+                }
+                total = sum(size for size, _ in sizes.values())
+                for kind in _VICTIM_ORDER:
+                    count = sizes[kind][1]
+                    while total > max_bytes and count > kind.keep:
+                        victim, size = self._connection.execute(
+                            f"SELECT {kind.key}, size_bytes FROM {kind.table} "
+                            f"ORDER BY last_access ASC, {kind.key} ASC LIMIT 1"
+                        ).fetchone()
+                        self._connection.execute(
+                            f"DELETE FROM {kind.table} WHERE {kind.key} = ?",
+                            (victim,),
+                        )
+                        total -= size
+                        count -= 1
+                        evicted[kind] += 1
+        removed = {}
+        for kind in _KINDS:
+            self._counts[kind.prefix + "expirations"] += expired[kind]
+            self._counts[kind.prefix + "evictions"] += evicted[kind]
+            removed[kind.prefix + "expired"] = expired[kind]
+            removed[kind.prefix + "evicted"] = evicted[kind]
+        return removed
 
     # -- writes ----------------------------------------------------------------
 
@@ -415,29 +547,13 @@ class LabelStore:
             raise StoreError(
                 f"label {fingerprint!r} is not picklable: {exc}"
             ) from exc
-        now = self._clock()
-        with span("store.put", fingerprint=fingerprint[:12]), self._lock:
-            with self._connection:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO labels "
-                    "(fingerprint, payload, size_bytes, created_at, last_access, hits) "
-                    "VALUES (?, ?, ?, ?, ?, 0)",
-                    (fingerprint, payload, len(payload), now, now),
-                )
-                if provenance is not None:
-                    self._connection.execute(
-                        "INSERT OR REPLACE INTO provenance VALUES "
-                        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        provenance.as_row(),
-                    )
-            self._puts += 1
-            if (
-                self._max_bytes is not None
-                or self._ttl is not None
-                or self.trace_ttl is not None
-            ):
-                self._gc_locked(self._max_bytes, self._ttl, self.trace_ttl)
-        return len(payload)
+        also = () if provenance is None else ((
+            "INSERT OR REPLACE INTO provenance VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            provenance.as_row(),
+        ),)
+        with span("store.put", fingerprint=fingerprint[:12]):
+            return self._insert(_LABELS, fingerprint, payload, {"hits": 0}, *also)
 
     def put_trace(
         self,
@@ -459,37 +575,20 @@ class LabelStore:
         a collision is the same trace finalized twice).
         """
         try:
-            payload = _encode_trace_payload(spans)
+            payload = _canonical_json(spans)
         except (TypeError, ValueError) as exc:
             raise StoreError(
                 f"trace {trace_id!r} spans are not JSON-safe: {exc}"
             ) from exc
-        now = self._clock()
         # deliberately NOT wrapped in a span: the collector calls this
         # from its span listener, outside any request context — a span
         # here would be a fresh root, finalize, archive itself, and so
         # on forever (each archived trace spawning the next)
-        with self._lock:
-            with self._connection:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO traces "
-                    "(trace_id, root_name, status, started_at, duration, "
-                    " span_count, payload, size_bytes, sampled, "
-                    " created_at, last_access) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        trace_id, root_name, status, started_at, duration,
-                        len(spans), payload, len(payload), sampled, now, now,
-                    ),
-                )
-            self._trace_puts += 1
-            if (
-                self._max_bytes is not None
-                or self._ttl is not None
-                or self.trace_ttl is not None
-            ):
-                self._gc_locked(self._max_bytes, self._ttl, self.trace_ttl)
-        return len(payload)
+        return self._insert(_TRACES, trace_id, payload, {
+            "root_name": root_name, "status": status,
+            "started_at": started_at, "duration": duration,
+            "span_count": len(spans), "sampled": sampled,
+        })
 
     def put_profile(
         self,
@@ -511,36 +610,19 @@ class LabelStore:
         triggered it; on-demand captures pass ``None``.
         """
         try:
-            payload = _encode_profile_payload(report)
+            payload = _canonical_json(report)
         except (TypeError, ValueError) as exc:
             raise StoreError(
                 f"profile {profile_id!r} report is not JSON-safe: {exc}"
             ) from exc
-        now = self._clock()
         # un-spanned for the same reason as put_trace: the collector
         # archives profiles from its span listener, and a span here
         # would start a fresh self-perpetuating trace
-        with self._lock:
-            with self._connection:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO profiles "
-                    "(profile_id, trace_id, source, started_at, duration, hz, "
-                    " sample_count, payload, size_bytes, created_at, last_access) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        profile_id, trace_id, source, started_at, duration,
-                        float(hz), int(sample_count), payload, len(payload),
-                        now, now,
-                    ),
-                )
-            self._profile_puts += 1
-            if (
-                self._max_bytes is not None
-                or self._ttl is not None
-                or self.trace_ttl is not None
-            ):
-                self._gc_locked(self._max_bytes, self._ttl, self.trace_ttl)
-        return len(payload)
+        return self._insert(_PROFILES, profile_id, payload, {
+            "trace_id": trace_id, "source": source,
+            "started_at": started_at, "duration": duration,
+            "hz": float(hz), "sample_count": int(sample_count),
+        })
 
     def gc(
         self,
@@ -552,11 +634,11 @@ class LabelStore:
 
         Arguments default to the instance's configured bounds; pass
         explicit values for a one-off trim (the CLI's ``store gc``).
-        A one-off ``ttl`` applies to traces too unless ``trace_ttl``
-        overrides it — the same fallback the constructor uses.
-        TTL-expired traces and labels go first (dead weight regardless
-        of the budget), then least-recently-accessed traces, then LRU
-        labels until ``max_bytes`` fits.
+        A one-off ``ttl`` applies to traces and profiles too unless
+        ``trace_ttl`` overrides it — the same fallback the constructor
+        uses.  TTL-expired entries go first (dead weight regardless of
+        the budget), then least-recently-accessed profiles, traces and
+        labels, in that order, until ``max_bytes`` fits.
         """
         if trace_ttl is None:
             trace_ttl = ttl if ttl is not None else self.trace_ttl
@@ -576,43 +658,11 @@ class LabelStore:
                 )
             return cursor.rowcount > 0
 
-    # -- reads -----------------------------------------------------------------
+    # -- label reads -----------------------------------------------------------
 
     def get_record(self, fingerprint: str) -> StoredLabel | None:
         """The full stored row, or ``None`` on miss/expiry (counted)."""
-        with span("store.get", fingerprint=fingerprint[:12]), self._lock:
-            self._gets += 1
-            row = self._connection.execute(
-                "SELECT payload, size_bytes, created_at, last_access, hits "
-                "FROM labels WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-            if row is not None and self._expired(row[2]):
-                with self._connection:
-                    self._connection.execute(
-                        "DELETE FROM labels WHERE fingerprint = ?", (fingerprint,)
-                    )
-                self._expirations += 1
-                row = None
-            if row is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            now = self._clock()
-            with self._connection:
-                self._connection.execute(
-                    "UPDATE labels SET last_access = ?, hits = hits + 1 "
-                    "WHERE fingerprint = ?",
-                    (now, fingerprint),
-                )
-            return StoredLabel(
-                fingerprint=fingerprint,
-                payload=row[0],
-                size_bytes=row[1],
-                created_at=row[2],
-                last_access=now,
-                hits=row[4] + 1,
-            )
+        return self._fetch(_LABELS, fingerprint)
 
     def get(self, fingerprint: str) -> Any | None:
         """The stored label, unpickled; ``None`` on miss or expiry.
@@ -630,7 +680,7 @@ class LabelStore:
             return record.value
         except Exception:
             with self._lock:
-                self._decode_failures += 1
+                self._counts["decode_failures"] += 1
             self.invalidate(fingerprint)
             return None
 
@@ -645,7 +695,7 @@ class LabelStore:
                 "SELECT created_at FROM labels WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
-            return row is not None and not self._expired(row[0])
+            return row is not None and not self._expired(_LABELS, row[0])
 
     def __len__(self) -> int:
         with self._lock:
@@ -665,98 +715,21 @@ class LabelStore:
         """Expand a fingerprint prefix to the unique full fingerprint.
 
         Store fingerprints are 64 hex characters; the CLI accepts any
-        unambiguous prefix (like a VCS).  Raises
-        :class:`~repro.errors.StoreError` when nothing — or more than
-        one label — matches.
+        unambiguous prefix.  Raises :class:`~repro.errors.StoreError`
+        when nothing — or more than one label — matches; an ambiguous
+        prefix lists the candidates on ``matches``.
         """
-        if not prefix:
-            raise StoreError("empty fingerprint prefix")
-        if not all(c in "0123456789abcdef" for c in prefix.lower()):
-            # reject, don't sanitize: stripping LIKE wildcards would
-            # make "%" silently resolve to an arbitrary label
-            raise StoreError(
-                f"fingerprint prefix {prefix!r} is not hex"
-            )
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT fingerprint FROM labels WHERE fingerprint LIKE ? LIMIT 2",
-                (prefix.lower() + "%",),
-            ).fetchall()
-        if not rows:
-            raise StoreError(f"no stored label matches fingerprint {prefix!r}")
-        if len(rows) > 1:
-            raise StoreError(
-                f"fingerprint prefix {prefix!r} is ambiguous; give more characters"
-            )
-        return rows[0][0]
+        return self._resolve(_LABELS, prefix)
 
     def records(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Listing rows (newest first): summaries plus dataset names."""
-        sql = (
-            "SELECT l.fingerprint, l.size_bytes, l.created_at, l.last_access, "
-            "l.hits, p.dataset_name, p.engine_version "
-            "FROM labels l LEFT JOIN provenance p USING (fingerprint) "
-            "ORDER BY l.created_at DESC"
-        )
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            rows = self._connection.execute(sql).fetchall()
-        return [
-            {
-                "fingerprint": row[0],
-                "size_bytes": row[1],
-                "created_at": row[2],
-                "last_access": row[3],
-                "hits": row[4],
-                "dataset_name": row[5],
-                "engine_version": row[6],
-            }
-            for row in rows
-        ]
+        return self._list(_LABELS, limit)
 
     # -- trace archive reads ---------------------------------------------------
 
     def get_trace(self, trace_id: str) -> StoredTrace | None:
         """One archived trace, or ``None`` on miss/expiry (counted)."""
-        with span("store.get_trace", trace_id=trace_id[:12]), self._lock:
-            self._trace_gets += 1
-            row = self._connection.execute(
-                "SELECT root_name, status, started_at, duration, span_count, "
-                "payload, size_bytes, sampled, created_at, last_access "
-                "FROM traces WHERE trace_id = ?",
-                (trace_id,),
-            ).fetchone()
-            if row is not None and self._trace_expired(row[8]):
-                with self._connection:
-                    self._connection.execute(
-                        "DELETE FROM traces WHERE trace_id = ?", (trace_id,)
-                    )
-                self._trace_expirations += 1
-                row = None
-            if row is None:
-                self._trace_misses += 1
-                return None
-            self._trace_hits += 1
-            now = self._clock()
-            with self._connection:
-                self._connection.execute(
-                    "UPDATE traces SET last_access = ? WHERE trace_id = ?",
-                    (now, trace_id),
-                )
-            return StoredTrace(
-                trace_id=trace_id,
-                root_name=row[0],
-                status=row[1],
-                started_at=row[2],
-                duration=row[3],
-                span_count=row[4],
-                payload=row[5],
-                size_bytes=row[6],
-                sampled=row[7],
-                created_at=row[8],
-                last_access=now,
-            )
+        return self._fetch(_TRACES, trace_id)
 
     def get_trace_bytes(self, trace_id: str) -> bytes | None:
         """The exact archived payload bytes (byte-identity assertions)."""
@@ -765,102 +738,17 @@ class LabelStore:
 
     def trace_records(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Trace listing rows (newest first), no payloads."""
-        sql = (
-            "SELECT trace_id, root_name, status, started_at, duration, "
-            "span_count, size_bytes, sampled, created_at "
-            "FROM traces ORDER BY created_at DESC"
-        )
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            rows = self._connection.execute(sql).fetchall()
-        return [
-            {
-                "trace_id": row[0],
-                "root_name": row[1],
-                "status": row[2],
-                "started_at": row[3],
-                "duration": row[4],
-                "span_count": row[5],
-                "size_bytes": row[6],
-                "sampled": row[7],
-                "created_at": row[8],
-            }
-            for row in rows
-        ]
+        return self._list(_TRACES, limit)
 
     def resolve_trace_prefix(self, prefix: str) -> str:
-        """Expand a trace-id prefix to the unique full id (like a VCS).
-
-        An ambiguous prefix raises a :class:`~repro.errors.StoreError`
-        carrying the matching ids on its ``matches`` attribute (up to
-        ten), so callers can list the candidates instead of dead-ending.
-        """
-        if not prefix:
-            raise StoreError("empty trace id prefix")
-        if not all(c in "0123456789abcdef" for c in prefix.lower()):
-            # reject, don't sanitize — same reasoning as label prefixes
-            raise StoreError(f"trace id prefix {prefix!r} is not hex")
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT trace_id FROM traces WHERE trace_id LIKE ? "
-                "ORDER BY created_at DESC LIMIT 10",
-                (prefix.lower() + "%",),
-            ).fetchall()
-        if not rows:
-            raise StoreError(f"no archived trace matches {prefix!r}")
-        if len(rows) > 1:
-            error = StoreError(
-                f"trace id prefix {prefix!r} is ambiguous "
-                f"({len(rows)}{'+' if len(rows) == 10 else ''} matches); "
-                "give more characters"
-            )
-            error.matches = [row[0] for row in rows]
-            raise error
-        return rows[0][0]
+        """Expand a trace-id prefix to the unique full id."""
+        return self._resolve(_TRACES, prefix)
 
     # -- profile archive reads -------------------------------------------------
 
     def get_profile(self, profile_id: str) -> StoredProfile | None:
         """One archived profile, or ``None`` on miss/expiry (counted)."""
-        with span("store.get_profile", profile_id=profile_id[:12]), self._lock:
-            self._profile_gets += 1
-            row = self._connection.execute(
-                "SELECT trace_id, source, started_at, duration, hz, "
-                "sample_count, payload, size_bytes, created_at, last_access "
-                "FROM profiles WHERE profile_id = ?",
-                (profile_id,),
-            ).fetchone()
-            if row is not None and self._trace_expired(row[8]):
-                with self._connection:
-                    self._connection.execute(
-                        "DELETE FROM profiles WHERE profile_id = ?", (profile_id,)
-                    )
-                self._profile_expirations += 1
-                row = None
-            if row is None:
-                self._profile_misses += 1
-                return None
-            self._profile_hits += 1
-            now = self._clock()
-            with self._connection:
-                self._connection.execute(
-                    "UPDATE profiles SET last_access = ? WHERE profile_id = ?",
-                    (now, profile_id),
-                )
-            return StoredProfile(
-                profile_id=profile_id,
-                trace_id=row[0],
-                source=row[1],
-                started_at=row[2],
-                duration=row[3],
-                hz=row[4],
-                sample_count=row[5],
-                payload=row[6],
-                size_bytes=row[7],
-                created_at=row[8],
-                last_access=now,
-            )
+        return self._fetch(_PROFILES, profile_id)
 
     def profile_for_trace(self, trace_id: str) -> StoredProfile | None:
         """The newest profile linked to an archived trace, if any."""
@@ -874,97 +762,32 @@ class LabelStore:
 
     def profile_records(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Profile listing rows (newest first), no payloads."""
-        sql = (
-            "SELECT profile_id, trace_id, source, started_at, duration, hz, "
-            "sample_count, size_bytes, created_at "
-            "FROM profiles ORDER BY created_at DESC"
-        )
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            rows = self._connection.execute(sql).fetchall()
-        return [
-            {
-                "profile_id": row[0],
-                "trace_id": row[1],
-                "source": row[2],
-                "started_at": row[3],
-                "duration": row[4],
-                "hz": row[5],
-                "sample_count": row[6],
-                "size_bytes": row[7],
-                "created_at": row[8],
-            }
-            for row in rows
-        ]
+        return self._list(_PROFILES, limit)
 
     def resolve_profile_prefix(self, prefix: str) -> str:
-        """Expand a profile-id prefix to the unique full id (like a VCS)."""
-        if not prefix:
-            raise StoreError("empty profile id prefix")
-        if not all(c in "0123456789abcdef" for c in prefix.lower()):
-            raise StoreError(f"profile id prefix {prefix!r} is not hex")
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT profile_id FROM profiles WHERE profile_id LIKE ? "
-                "ORDER BY created_at DESC LIMIT 10",
-                (prefix.lower() + "%",),
-            ).fetchall()
-        if not rows:
-            raise StoreError(f"no archived profile matches {prefix!r}")
-        if len(rows) > 1:
-            error = StoreError(
-                f"profile id prefix {prefix!r} is ambiguous; give more characters"
-            )
-            error.matches = [row[0] for row in rows]
-            raise error
-        return rows[0][0]
+        """Expand a profile-id prefix to the unique full id."""
+        return self._resolve(_PROFILES, prefix)
 
     # -- observability and lifecycle -------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Counters plus the on-disk totals (the ``/engine/stats`` shape)."""
         with self._lock:
-            total, count = self._connection.execute(
-                "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM labels"
-            ).fetchone()
-            trace_total, trace_count = self._connection.execute(
-                "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM traces"
-            ).fetchone()
-            profile_total, profile_count = self._connection.execute(
-                "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) FROM profiles"
-            ).fetchone()
-            return {
+            stats: dict[str, Any] = {
                 "path": self.path,
-                "labels": count,
-                "bytes": total,
                 "max_bytes": self._max_bytes,
                 "ttl": self._ttl,
-                "puts": self._puts,
-                "gets": self._gets,
-                "hits": self._hits,
-                "misses": self._misses,
-                "expirations": self._expirations,
-                "evictions": self._evictions,
-                "decode_failures": self._decode_failures,
-                "traces": trace_count,
-                "trace_bytes": trace_total,
                 "trace_ttl": self.trace_ttl,
-                "trace_puts": self._trace_puts,
-                "trace_gets": self._trace_gets,
-                "trace_hits": self._trace_hits,
-                "trace_misses": self._trace_misses,
-                "trace_expirations": self._trace_expirations,
-                "trace_evictions": self._trace_evictions,
-                "profiles": profile_count,
-                "profile_bytes": profile_total,
-                "profile_puts": self._profile_puts,
-                "profile_gets": self._profile_gets,
-                "profile_hits": self._profile_hits,
-                "profile_misses": self._profile_misses,
-                "profile_expirations": self._profile_expirations,
-                "profile_evictions": self._profile_evictions,
             }
+            for kind in _KINDS:
+                total, count = self._connection.execute(
+                    "SELECT COALESCE(SUM(size_bytes), 0), COUNT(*) "
+                    f"FROM {kind.table}"
+                ).fetchone()
+                stats[kind.table] = count
+                stats[kind.prefix + "bytes"] = total
+            stats.update(self._counts)
+            return stats
 
     def close(self) -> None:
         """Close the connection (idempotent; further calls will fail)."""

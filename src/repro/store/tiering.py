@@ -16,7 +16,8 @@ memory, microseconds) with a :class:`~repro.store.store.LabelStore`
 
 The lookup happens *inside* the L1 build slot, so a thundering herd on
 a cold key performs exactly one L2 read and one store write, never N.
-Counters for every tier transition are kept for ``GET /engine/stats``.
+Three counters (L1 hits, L2 hits, builds) yield every tier-transition
+figure ``GET /engine/stats`` reports.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ class TieredLabelCache:
         self._l1 = l1
         self._l2 = l2
         self._lock = threading.Lock()
+        # the three independent numbers; every other tier counter is
+        # derived from them in stats()
         self._l1_hits = 0
-        self._l1_misses = 0
         self._l2_hits = 0
-        self._l2_misses = 0
-        self._promotions = 0
         self._builds = 0
-        self._writes = 0
 
     @property
     def l1(self) -> LabelCache:
@@ -87,8 +86,6 @@ class TieredLabelCache:
             state["tier"] = "build"
             value, provenance = build()
             self._l2.put(key, value, provenance)
-            with self._lock:
-                self._writes += 1
             return value
 
         with span("tiers.get_or_build", fingerprint=key[:12]) as tier_span:
@@ -99,25 +96,28 @@ class TieredLabelCache:
         with self._lock:
             if tier == "l1":
                 self._l1_hits += 1
+            elif tier == "l2":
+                self._l2_hits += 1
             else:
-                self._l1_misses += 1
-                if tier == "l2":
-                    self._l2_hits += 1
-                    self._promotions += 1  # get_or_build cached it in L1
-                else:
-                    self._l2_misses += 1
-                    self._builds += 1
+                self._builds += 1
         return value, tier
 
     def stats(self) -> dict[str, int]:
-        """Tier-transition counters (merged into ``/engine/stats``)."""
+        """Tier-transition counters (merged into ``/engine/stats``).
+
+        An L2 hit is promoted into L1 by the same call, and a build is
+        an L2 miss written through to the store, so ``promotions``,
+        ``l2_misses``, ``writes`` and ``l1_misses`` follow from the
+        three counted numbers.
+        """
         with self._lock:
-            return {
-                "l1_hits": self._l1_hits,
-                "l1_misses": self._l1_misses,
-                "l2_hits": self._l2_hits,
-                "l2_misses": self._l2_misses,
-                "promotions": self._promotions,
-                "builds": self._builds,
-                "writes": self._writes,
-            }
+            l1_hits, l2_hits, builds = self._l1_hits, self._l2_hits, self._builds
+        return {
+            "l1_hits": l1_hits,
+            "l1_misses": l2_hits + builds,
+            "l2_hits": l2_hits,
+            "l2_misses": builds,
+            "promotions": l2_hits,
+            "builds": builds,
+            "writes": builds,
+        }

@@ -8,6 +8,7 @@ from repro.app.cli import main
 from repro.datasets import cs_departments
 from repro.engine.jobs import LabelDesign
 from repro.engine.service import LabelService
+from repro.store.store import LabelStore
 
 DESIGN = LabelDesign.create(
     weights={"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2},
@@ -91,6 +92,19 @@ class TestShow:
         path, _, _ = seeded_store
         assert main(["store", "show", "--path", path, "%"]) == 2
         assert "not hex" in capsys.readouterr().err
+
+    def test_ambiguous_prefix_lists_candidates(self, tmp_path, capsys):
+        path = str(tmp_path / "twins.db")
+        twins = ["ab" + "0" * 62, "ab" + "1" * 62]
+        with LabelStore(path) as store:
+            for fingerprint in twins:
+                store.put(fingerprint, {"placeholder": fingerprint})
+        for argv in (["show", "ab"], ["diff", "ab", twins[0]]):
+            assert main(["store", argv[0], "--path", path, *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert "ambiguous" in err
+            assert twins[0] in err and twins[1] in err
+            assert "longer prefix" in err
 
 
 class TestDiff:

@@ -3,11 +3,13 @@
 import contextlib
 import re
 import socket
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.app import server as server_module
 from repro.app.server import make_server
 from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
@@ -46,7 +48,7 @@ def request_samples(text, family="repro_http_requests_total"):
 def get_until_closed(handle, path):
     """GET ``path`` with ``Connection: close`` and read until EOF.
 
-    The server counts a request in the ``finally`` of its handler and
+    The server counts a request before it writes the response and
     only then closes the connection, so once this read hits EOF the
     request is in every later ``/metrics`` scrape.
     """
@@ -131,3 +133,26 @@ class TestMetricsEndpoint:
         assert "{unknown}" in routes
         assert not any("tok-one" in route for route in routes)
         assert not any("no-such-page" in route for route in routes)
+
+
+class TestRequestCountedBeforeResponse:
+    def test_scrape_right_after_a_response_sees_it(self, monkeypatch):
+        original = server_module._RankingFactsHandler._send_raw
+
+        def linger_after_write(handler, status, content_type, body):
+            original(handler, status, content_type, body)
+            if handler.path == "/health":
+                time.sleep(0.5)  # the handler is still busy after the write
+
+        monkeypatch.setattr(
+            server_module._RankingFactsHandler, "_send_raw", linger_after_write
+        )
+        with make_server(metrics_registry=MetricsRegistry()) as handle:
+            fetch(handle, "/health")
+            _, _, body = fetch(handle, "/metrics")
+        health = [
+            value
+            for labels, value in request_samples(body.decode("utf-8"))
+            if labels.get("route") == "/health"
+        ]
+        assert health == [1.0]

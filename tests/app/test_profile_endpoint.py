@@ -94,6 +94,15 @@ class TestDebugProfile:
             get(served, "/profiles/feedfeed")
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize("route", ["/profiles", "/traces"])
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_out_of_range_limit_is_a_400(self, served, route, limit):
+        # SQLite reads LIMIT -1 as "no limit": it must never get there
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(served, f"{route}?limit={limit}")
+        assert excinfo.value.code == 400
+        assert "limit" in json.loads(excinfo.value.read())["error"]
+
 
 class TestStatsBlocks:
     def test_engine_stats_has_profiles_and_resources(self, served):

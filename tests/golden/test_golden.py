@@ -26,6 +26,34 @@ def test_label_matches_pin(digests, case_id):
     assert digests[case_id] == load_pins()[case_id]
 
 
+def test_store_round_trip_matches_pin(tmp_path):
+    """A label archived, the store reopened, and the label read back
+    still renders to its pinned bytes."""
+    import hashlib
+
+    from repro.datasets.loaders import dataset_by_name
+    from repro.engine.jobs import LabelDesign
+    from repro.engine.service import LabelService
+    from repro.label.render_json import render_json
+    from repro.store.store import LabelStore
+
+    case_id = "cs-departments-vectorized-t20-s7"
+    (case,) = [case for case in cases() if case["id"] == case_id]
+    with LabelService(use_cache=False) as service:
+        outcome = service.build_label(
+            dataset_by_name(case["dataset"]),
+            LabelDesign.from_mapping(case["design"]),
+            case["dataset"],
+        )
+    path = tmp_path / "labels.db"
+    with LabelStore(path) as store:
+        store.put(outcome.fingerprint, outcome.facts)
+    with LabelStore(path) as reopened:
+        facts = reopened.get(outcome.fingerprint)
+    text = render_json(facts.label)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == load_pins()[case_id]
+
+
 def test_serial_oracle_matches_vectorized():
     pins = load_pins()
     serial = {k: v for k, v in pins.items() if "-serial-" in k}

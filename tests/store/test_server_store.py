@@ -14,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.app.server import make_server
+from repro.store.store import LabelStore
 
 DESIGN = {
     "weights": {"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2},
@@ -96,6 +97,28 @@ class TestArchiveRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(handle, "/labels/feedfacefeedface")
         assert excinfo.value.code == 404
+
+    def test_ambiguous_prefix_404_lists_matches(self, stored):
+        handle, path, _, _ = stored
+        twins = ["abcd" + "0" * 60, "abcd" + "1" * 60]
+        with LabelStore(path) as store:  # a second writer on the same file
+            for fingerprint in twins:
+                store.put(fingerprint, {"placeholder": fingerprint})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(handle, "/labels/abcd")
+        assert excinfo.value.code == 404
+        body = json.loads(excinfo.value.read())
+        assert "ambiguous" in body["error"]
+        assert sorted(body["matches"]) == twins
+
+    def test_listing_limit(self, stored):
+        handle, _, _, _ = stored
+        _, body = get(handle, "/labels?limit=1")
+        assert body["count"] == 1
+        for bad in ("-1", "0", "many"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get(handle, f"/labels?limit={bad}")
+            assert excinfo.value.code == 400
 
     def test_diff_reports_weight_drift(self, stored):
         handle, _, fp_a, fp_b = stored

@@ -217,8 +217,11 @@ class TestPrefixes:
     def test_ambiguous_prefix_rejected(self, store):
         store.put("aa" + fp("1")[2:], 1)
         store.put("ab" + fp("2")[2:], 2)
-        with pytest.raises(StoreError, match="ambiguous"):
+        with pytest.raises(StoreError, match="ambiguous") as excinfo:
             store.resolve_prefix("a")
+        assert sorted(excinfo.value.matches) == [
+            "aa" + fp("1")[2:], "ab" + fp("2")[2:],
+        ]
 
     def test_unknown_prefix_rejected(self, store):
         with pytest.raises(StoreError, match="no stored label"):
