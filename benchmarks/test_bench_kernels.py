@@ -16,11 +16,16 @@ trial counts, and asserts the two acceptance criteria:
 
 import time
 
+import numpy as np
+import pytest
+
 from benchmarks.conftest import report
+from repro import _native
 from repro.datasets import synthetic_scores_table
 from repro.engine import LabelDesign, LabelService
 from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
 from repro.label.render_json import render_json
+from repro.ranking.compare import _count_inversions_numpy, count_inversions_batch
 from repro.ranking.scoring import LinearScoringFunction
 from repro.stability import (
     DataUncertaintyStability,
@@ -178,3 +183,21 @@ def test_bench_b2_full_label_byte_identity_and_stats():
     assert render_json(outcome.facts.label) == render_json(serial_facts.label)
     assert executor["trial_backend_effective"] == "vectorized"
     assert executor["trial_scalar_fallbacks"] == 0
+
+
+def test_bench_b2_native_vs_numpy_inversions():
+    """Kendall inversion counting: the compiled kernel vs the numpy merge."""
+    if _native.kernel is None:
+        pytest.skip(f"native inversion kernel did not load: {_native.reason}")
+    rng = np.random.default_rng(7)
+    rows = []
+    for n in (1000, 6889):
+        batch = np.stack([rng.permutation(n) for _ in range(100)])
+        native, native_s = timed(lambda: count_inversions_batch(batch))
+        oracle, numpy_s = timed(lambda: _count_inversions_numpy(batch))
+        assert native.tolist() == oracle.tolist()
+        rows.append(
+            f"n={n:<5} T=100 numpy {numpy_s * 1000:7.1f} ms   "
+            f"native {native_s * 1000:6.1f} ms   ({numpy_s / native_s:4.1f}x)"
+        )
+    report("B2: count_inversions_batch, native vs numpy (random permutations)", rows)

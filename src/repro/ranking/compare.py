@@ -19,14 +19,16 @@ the caller already has in hand:
   :func:`count_inversions_batch`) — over integer permutation arrays,
   the form the vectorized trial kernels
   (:mod:`repro.stability.kernels`) work in: no id lists, no dict
-  lookups, inversions counted by array-level merge sorting.  For
-  tie-free rankings the three tiers return byte-identical floats.
+  lookups, inversions counted by a compiled merge sort (or its numpy
+  fallback).  For tie-free rankings the three tiers return
+  byte-identical floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import _native
 from repro.errors import RankingError
 from repro.ranking.ranker import Ranking
 from repro.stats.correlation import kendall_tau
@@ -158,11 +160,12 @@ def count_inversions_batch(sequences: np.ndarray) -> np.ndarray:
     which is why this is the workhorse of the vectorized stability
     kernels.
 
-    The count is a bottom-up merge sort over *all rows at once*: each
-    level sorts within blocks via one offset-keyed stable argsort and
-    reads the cross-block inversions off the merged positions, so the
-    total work is ``O(trials * n log^2 n)`` array operations with no
-    per-element Python.
+    The rows are validated and rank-coded here, then counted by the
+    compiled C merge sort in :mod:`repro._native` when it loaded (it
+    releases the GIL while it runs), or else by the numpy merge in
+    :func:`_count_inversions_numpy`.  Both give the same counts;
+    ``repro._native.kernel is None`` means the numpy merge is active,
+    and ``repro._native.reason`` says why.
     """
     arr = np.asarray(sequences)
     if arr.ndim != 2:
@@ -185,6 +188,27 @@ def count_inversions_batch(sequences: np.ndarray) -> np.ndarray:
         codes = np.empty((trials, n), dtype=np.int64)
         for row in range(trials):
             _, codes[row] = np.unique(arr[row], return_inverse=True)
+    kernel = _native.kernel
+    if kernel is None:
+        return _count_inversions_numpy(codes)
+    codes = np.ascontiguousarray(codes)
+    out = np.empty(trials, dtype=np.int64)
+    kernel(codes, trials, n, out, np.empty(n, np.int64), np.empty(n, np.int64))
+    return out
+
+
+def _count_inversions_numpy(codes: np.ndarray) -> np.ndarray:
+    """Row inversions of ``(trials, n)`` int64 codes in ``[0, n)``, ``n >= 2``.
+
+    The numpy fallback of :func:`count_inversions_batch`, and the oracle
+    its compiled kernel is tested against.  A bottom-up merge sort over
+    *all rows at once*: each level sorts within blocks via one
+    offset-keyed stable argsort and reads the cross-block inversions off
+    the merged positions, so the total work is
+    ``O(trials * n log^2 n)`` array operations with no per-element
+    Python.
+    """
+    trials, n = codes.shape
     # pad to a power of two with a value above every code; pads form a
     # suffix and stay one after sorting, so they never add inversions
     size = 1 << (n - 1).bit_length()

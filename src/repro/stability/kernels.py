@@ -22,7 +22,10 @@ kernels apply the same discipline to the stability widget's hot loop:
   Kendall tau via merge-sort inversion counting (:func:`repro.ranking
   .compare.count_inversions_batch`), top-k overlap via position
   prefixes.  No ``Table`` is constructed and no dict is consulted inside
-  the loop;
+  the loop.  The inversion count runs in the compiled, GIL-releasing C
+  kernel of :mod:`repro._native` when it built on import, and in an
+  equal-valued numpy merge otherwise (``repro._native.kernel is None``;
+  ``repro._native.reason`` says why);
 - the per-attribute kernel needs only one bit per trial ("did the top-k
   set change?"), so it never sorts: it first prunes the rows that can
   never reach the top-k, then decides each trial with two column

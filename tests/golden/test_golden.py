@@ -60,3 +60,12 @@ def test_serial_oracle_matches_vectorized():
     assert serial
     for case_id, digest in serial.items():
         assert pins[case_id.replace("-serial-", "-vectorized-")] == digest
+
+
+def test_numpy_fallback_matches_every_pin(monkeypatch):
+    """With the compiled inversion kernel disabled, the numpy merge
+    rebuilds every pinned label to the same bytes."""
+    from repro import _native
+
+    monkeypatch.setattr(_native, "kernel", None)
+    assert label_digests(cases()) == load_pins()

@@ -1,9 +1,11 @@
 """Tests for repro.ranking.compare."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.errors import RankingError
 from repro.ranking import (
     Ranking,
@@ -19,7 +21,11 @@ from repro.ranking import (
     top_k_overlap,
     top_k_overlap_positions,
 )
-from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
+from repro.ranking.compare import (
+    _count_inversions_numpy,
+    kendall_tau_ids,
+    top_k_overlap_ids,
+)
 from repro.tabular import Table
 
 
@@ -215,3 +221,71 @@ class TestIndexBasedVariants:
             kendall_tau_from_discordant(11, 5)
         with pytest.raises(RankingError, match="at least 2"):
             kendall_tau_from_discordant(0, 1)
+
+
+native_only = pytest.mark.skipif(
+    _native.kernel is None,
+    reason=f"native inversion kernel did not load: {_native.reason}",
+)
+
+#: row lengths at the merge sort's edges: empty, single, powers of two ± 1
+EDGE_SIZES = [0, 1, 2, *(size + d for size in (4, 8, 16, 32, 64) for d in (-1, 0, 1))]
+
+
+def numpy_merge(batch) -> np.ndarray:
+    """The numpy oracle on per-row dense codes (ties keep equal codes)."""
+    batch = np.asarray(batch)
+    trials, n = batch.shape
+    if n < 2:
+        return np.zeros(trials, dtype=np.int64)
+    codes = np.empty((trials, n), dtype=np.int64)
+    for row in range(trials):
+        _, codes[row] = np.unique(batch[row], return_inverse=True)
+    return _count_inversions_numpy(codes)
+
+
+@st.composite
+def integer_batches(draw):
+    """(trials, n) batches: permutations, ties, negatives, sparse codes,
+    three dtypes, and the transposed view the stability kernels pass."""
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(0, 80))
+    trials = draw(st.integers(0, 5))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    if draw(st.booleans()):
+        rows = [draw(st.permutations(range(n))) for _ in range(trials)]
+    else:
+        low = 0 if dtype is np.uint8 else draw(st.sampled_from([-1000, -3, 0]))
+        high = draw(st.sampled_from([low + 1, low + 3, low + n, low + 3 * n + 7, 255]))
+        cells = st.integers(low, max(low, high))
+        rows = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(trials)]
+    batch = np.asarray(rows, dtype=dtype).reshape(trials, n)
+    if draw(st.booleans()):
+        batch = np.ascontiguousarray(batch.T).T  # same values, not C-contiguous
+    return batch
+
+
+@native_only
+class TestNativeKernel:
+    """The compiled inversion kernel against the numpy merge it replaces."""
+
+    @given(integer_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_native_matches_numpy_merge(self, batch):
+        assert count_inversions_batch(batch).tolist() == numpy_merge(batch).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_kernel_counts_nothing_in_short_rows(self, n):
+        codes = np.zeros((3, n), dtype=np.int64)
+        out = np.full(3, -1, dtype=np.int64)
+        _native.kernel(codes, 3, n, out, np.empty(n, np.int64), np.empty(n, np.int64))
+        assert out.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 6889])
+    def test_native_matches_numpy_merge_at_table_sizes(self, n):
+        rng = np.random.default_rng(n)
+        batch = np.stack(
+            [rng.permutation(n), rng.integers(0, 40, n), np.arange(n)[::-1], np.arange(n)]
+        )
+        counts = count_inversions_batch(batch)
+        assert counts.tolist() == numpy_merge(batch).tolist()
+        assert counts[2:].tolist() == [n * (n - 1) // 2, 0]
