@@ -1,13 +1,14 @@
 """B2: vectorized Monte-Carlo trial kernels vs the serial scalar loop.
 
 PR 3 batches the whole trial loop into array operations
-(:mod:`repro.stability.kernels`): one design-matrix extraction, an
-``(n x T)`` score matrix accumulated in the scalar path's exact
-operation order, one stable argsort across all trials, and Kendall
-tau / top-k overlap computed on integer permutation arrays via
-merge-sort inversion counting.  This bench times that kernel path
-against ``serial`` on the synthetic dataset at several table sizes and
-trial counts, and asserts the two acceptance criteria:
+(:mod:`repro.stability.kernels`): one design-matrix extraction, a
+trial-major ``(T x n)`` score matrix accumulated in the scalar path's
+exact operation order, and Kendall tau / top-k overlap from one fused
+compiled merge-sort pass per trial (a numpy stable argsort plus
+inversion count when the library did not load).  This bench times
+that kernel path against ``serial`` on the synthetic dataset at
+several table sizes and trial counts, and asserts the two acceptance
+criteria:
 
 - byte-identical outcomes against the serial scalar path, and
 - >= 5x speedup over serial for the 50-trial perturbation profile
@@ -15,6 +16,7 @@ trial counts, and asserts the two acceptance criteria:
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.stability import (
     WeightPerturbationStability,
     per_attribute_stability,
 )
+from repro.stability.kernels import _movement_outcomes
 
 WEIGHTS = {"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2}
 PROFILE_EPSILONS = [0.05, 0.1, 0.2]
@@ -201,3 +204,24 @@ def test_bench_b2_native_vs_numpy_inversions():
             f"native {native_s * 1000:6.1f} ms   ({numpy_s / native_s:4.1f}x)"
         )
     report("B2: count_inversions_batch, native vs numpy (random permutations)", rows)
+
+
+def test_bench_b2_fused_vs_numpy_movement():
+    """Trial movement (tau, overlap): the fused C pass vs the numpy path."""
+    if _native.movement is None:
+        pytest.skip(f"native kernels did not load: {_native.reason}")
+    rng = np.random.default_rng(11)
+    rows = []
+    for n in (1000, 6889):
+        base = rng.integers(0, 40, n).astype(np.float64)  # ties, as in compas
+        scores = base[None, :] + rng.normal(0.0, 2.0, (100, n))
+        base_order = np.argsort(-base, kind="stable")
+        fused, fused_s = timed(lambda: _movement_outcomes(base_order, scores, 10))
+        with mock.patch.object(_native, "movement", None):
+            oracle, numpy_s = timed(lambda: _movement_outcomes(base_order, scores, 10))
+        assert fused == oracle
+        rows.append(
+            f"n={n:<5} T=100 numpy {numpy_s * 1000:7.1f} ms   "
+            f"fused {fused_s * 1000:6.1f} ms   ({numpy_s / fused_s:4.1f}x)"
+        )
+    report("B2: _movement_outcomes, fused native vs numpy (jittered tied scores)", rows)

@@ -1,20 +1,25 @@
-"""The compiled inversion kernel, built from its C source on first import.
+"""The compiled ranking kernels, built from their C source on first import.
 
 ``inversions.c`` is compiled with the host's C compiler into
 ``_inversions-<key>.so`` and loaded through :mod:`ctypes`: no Python
 headers, no setuptools extension and no install step, so a plain
-checkout run from ``src/`` gets the kernel too.  ``<key>`` hashes the C
+checkout run from ``src/`` gets the kernels too.  ``<key>`` hashes the C
 source, the compile command and the platform, so a stale library is
 never loaded.  The library lands in the package's ``build/``
 directory, or in ``~/.cache/ranking-facts/`` when that is not
 writable; each build goes to a per-process temp name and is renamed
 into place, so processes that build at once all load a whole file.
 
-:data:`kernel` is the bound C function, or ``None`` when no compiler,
-no writable directory or a failed ``dlopen`` left it unbuilt; then
-:data:`reason` says why (logged once at WARNING) and
+:data:`kernel` is the bound ``count_inversions_batch`` and
+:data:`movement` the bound ``rank_movement_batch`` (the fused sort,
+discordant-pair and top-k overlap pass of the trial-major stability
+kernels in :mod:`repro.stability.kernels`).  Binding is all or nothing:
+when no compiler, no writable directory, a failed ``dlopen`` or a
+missing symbol leaves either unbound, both are ``None`` and
+:data:`reason` says why (logged once at WARNING).  Then
 :func:`repro.ranking.compare.count_inversions_batch` runs its numpy
-merge instead.  The two agree on every input.
+merge and the stability kernels their numpy argsort path; each agrees
+with its C counterpart on every input.
 """
 
 from __future__ import annotations
@@ -68,8 +73,24 @@ def _compile(target: Path, command: list[str]) -> None:
         partial.unlink(missing_ok=True)
 
 
+def _bind(library: ctypes.CDLL):
+    """Both kernels of ``library`` with their argument types."""
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    count = ctypes.c_int64
+    inversions = library.count_inversions_batch
+    inversions.argtypes = [ints, count, count, ints, ints, ints]
+    inversions.restype = None
+    movement = library.rank_movement_batch
+    movement.argtypes = [floats, count, count, ints, flags, count, ints, ints, floats, ints]
+    movement.restype = None
+    return inversions, movement
+
+
 def load(directories=DIRECTORIES):
-    """Return ``(kernel, None)``, or ``(None, reason)`` after one WARNING."""
+    """Return ``(kernel, movement, None)``, or ``(None, None, reason)``
+    after one WARNING."""
     command = _compile_command()
     failures = []
     for directory in directories:
@@ -77,17 +98,14 @@ def load(directories=DIRECTORIES):
             path = library_path(directory, command)
             if not path.exists():
                 _compile(path, command)
-            function = ctypes.CDLL(str(path)).count_inversions_batch
-        except (OSError, subprocess.SubprocessError) as exc:
+            inversions, movement = _bind(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError, subprocess.SubprocessError) as exc:
             failures.append(f"{directory}: {exc}")
             continue
-        array = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        function.argtypes = [array, ctypes.c_int64, ctypes.c_int64, array, array, array]
-        function.restype = None
-        return function, None
+        return inversions, movement, None
     reason = "; ".join(failures)
-    log.warning("native inversion kernel unavailable, using the numpy merge: %s", reason)
-    return None, reason
+    log.warning("native ranking kernels unavailable, using numpy: %s", reason)
+    return None, None, reason
 
 
-kernel, reason = load()
+kernel, movement, reason = load()

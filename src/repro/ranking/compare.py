@@ -16,11 +16,12 @@ the caller already has in hand:
   payloads ship across process boundaries;
 - **index-based** (:func:`kendall_tau_positions`,
   :func:`top_k_overlap_positions`, :func:`count_inversions`,
-  :func:`count_inversions_batch`) — over integer permutation arrays,
-  the form the vectorized trial kernels
-  (:mod:`repro.stability.kernels`) work in: no id lists, no dict
-  lookups, inversions counted by a compiled merge sort (or its numpy
-  fallback).  For tie-free rankings the three tiers return
+  :func:`count_inversions_batch`) — over integer permutation arrays:
+  no id lists, no dict lookups, inversions counted by a compiled merge
+  sort (or its numpy fallback).  The vectorized trial kernels
+  (:mod:`repro.stability.kernels`) go one step further and fuse the
+  sort and the count in C; this tier is their fallback when the
+  library did not load.  For tie-free rankings the three tiers return
   byte-identical floats.
 """
 
@@ -157,8 +158,8 @@ def count_inversions_batch(sequences: np.ndarray) -> np.ndarray:
     not inversions).  For a permutation row holding, per baseline
     position, the item's position in a re-ranking, the inversion count
     is exactly the discordant-pair count between the two rankings —
-    which is why this is the workhorse of the vectorized stability
-    kernels.
+    which is why the vectorized stability kernels fall back on it when
+    their fused compiled pass is unavailable.
 
     The rows are validated and rank-coded here, then counted by the
     compiled C merge sort in :mod:`repro._native` when it loaded (it

@@ -13,23 +13,26 @@ kernels apply the same discipline to the stability widget's hot loop:
   **once**;
 - all ``T`` jitter/noise draws come from the unchanged per-trial RNG
   streams (``trial_rng(seed, trial)``), so results stay reproducible;
-- the ``(n x T)`` score matrix is accumulated **per attribute in the
+- the score matrix is **trial-major**: a C-contiguous ``(T x n)``
+  array, one row per trial, accumulated **per attribute in the
   scorer's declaration order** — the identical sequence of IEEE
   operations :meth:`LinearScoringFunction.score_table` performs, so
   every score is byte-identical to the scalar path's;
-- the perturbation and uncertainty kernels stable-argsort all trials at
-  once and compute the movement metrics on integer permutation arrays —
-  Kendall tau via merge-sort inversion counting (:func:`repro.ranking
-  .compare.count_inversions_batch`), top-k overlap via position
-  prefixes.  No ``Table`` is constructed and no dict is consulted inside
-  the loop.  The inversion count runs in the compiled, GIL-releasing C
-  kernel of :mod:`repro._native` when it built on import, and in an
-  equal-valued numpy merge otherwise (``repro._native.kernel is None``;
-  ``repro._native.reason`` says why);
+- the perturbation and uncertainty kernels hand the whole matrix to one
+  compiled, GIL-releasing C pass (``rank_movement_batch`` in
+  :mod:`repro._native`): per trial it merge-sorts the rows in baseline
+  order by (sort key, row) — a stable argsort's order — and reads the
+  Kendall discordant pairs off the inversions it meets and the top-k
+  overlap off the first ``k`` sorted rows.  No ``Table`` is constructed,
+  no dict is consulted and no ``(T x n)`` order or position array is
+  built.  When the library did not load (``repro._native.movement is
+  None``; ``repro._native.reason`` says why), the same numbers come from
+  a numpy stable argsort along each row and the inversion count of
+  :func:`repro.ranking.compare.count_inversions_batch`;
 - the per-attribute kernel needs only one bit per trial ("did the top-k
   set change?"), so it never sorts: it first prunes the rows that can
-  never reach the top-k, then decides each trial with two column
-  reductions (see :func:`run_attribute_kernel`).
+  never reach the top-k, then decides each trial with two reductions
+  along its row (see :func:`run_attribute_kernel`).
 
 **Byte-identity contract.**  For every payload a kernel accepts, its
 result list is byte-identical to running the matching scalar trial
@@ -50,6 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro import _native
 from repro.ranking.compare import count_inversions_batch, kendall_tau_from_discordant
 from repro.ranking.scoring import LinearScoringFunction
 from repro.stability.montecarlo import trial_rng
@@ -115,7 +119,7 @@ def _accumulate_scores(
     any_missing: np.ndarray,
     missing_policy: str,
 ) -> np.ndarray:
-    """The ``(n x T)`` score matrix, accumulated like ``score_table``.
+    """The trial-major ``(T x n)`` score matrix, accumulated like ``score_table``.
 
     ``weight_matrix[a, t]`` is attribute ``a``'s weight in trial ``t``.
     Accumulation runs attribute-by-attribute in declaration order, so
@@ -123,11 +127,11 @@ def _accumulate_scores(
     as the scalar path — byte-identical floats.
     """
     n = columns[0].shape[0] if columns else 0
-    scores = np.zeros((n, weight_matrix.shape[1]), dtype=np.float64)
+    scores = np.zeros((weight_matrix.shape[1], n), dtype=np.float64)
     for index, values in enumerate(columns):
-        scores += values[:, None] * weight_matrix[index][None, :]
+        scores += values[None, :] * weight_matrix[index][:, None]
     if missing_policy == "propagate":
-        scores[any_missing, :] = np.nan
+        scores[:, any_missing] = np.nan
     return scores
 
 
@@ -138,26 +142,9 @@ def _rank_keys(scores: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _stable_orders(scores: np.ndarray) -> np.ndarray:
-    """Argsort every trial column exactly like ``Ranking.from_scores``."""
-    return np.argsort(_rank_keys(scores), axis=0, kind="stable")
-
-
 def _baseline_order(table: Table, scorer: LinearScoringFunction) -> np.ndarray:
     """Row indices of the unperturbed ranking, best first."""
     return np.argsort(_rank_keys(scorer.score_table(table)), kind="stable")
-
-
-def _positions_from_orders(orders: np.ndarray) -> np.ndarray:
-    """Invert each trial's order: ``positions[row, t]`` = rank position."""
-    positions = np.empty_like(orders)
-    np.put_along_axis(
-        positions,
-        orders,
-        np.broadcast_to(np.arange(orders.shape[0])[:, None], orders.shape),
-        axis=0,
-    )
-    return positions
 
 
 def _unique_ids(table: Table, id_column: str) -> list:
@@ -185,26 +172,43 @@ def _verified_baseline(
 
 
 def _movement_outcomes(
-    base_order: np.ndarray, orders: np.ndarray, k: int
+    base_order: np.ndarray, scores: np.ndarray, k: int
 ) -> list[tuple[float, float, bool]]:
-    """Per-trial (tau, overlap, changed) from permutation arrays.
+    """Per-trial (tau, overlap, changed) of the ``(T x n)`` scores.
 
     Exactly the metrics ``kendall_tau_ids`` / ``top_k_overlap_ids`` /
     the top-set comparison produce, computed without ids: discordant
-    pairs are inversions of the re-ranked position sequence, overlap is
-    a prefix membership count.
+    pairs are the inversions of the trial's ranking read in baseline
+    order, overlap is a prefix membership count.  The compiled
+    ``rank_movement_batch`` computes both in one pass per trial; the
+    numpy path below is its fallback and its oracle.
     """
-    n = orders.shape[0]
-    positions = _positions_from_orders(orders)
-    # positions of the baseline's items, in baseline order: one
-    # permutation per trial whose inversions are the discordant pairs
-    reranked = positions[base_order, :]
-    discordant = count_inversions_batch(reranked.T)
+    trials, n = scores.shape
+    keys = _rank_keys(scores)
     kept = min(k, n)
-    in_top = positions[base_order[:kept], :] < kept
-    counts = in_top.sum(axis=0)
+    movement = _native.movement
+    if movement is not None:
+        top = np.zeros(n, dtype=np.uint8)
+        top[base_order[:kept]] = 1
+        discordant = np.empty(trials, dtype=np.int64)
+        counts = np.empty(trials, dtype=np.int64)
+        movement(
+            keys, trials, n, np.ascontiguousarray(base_order, dtype=np.int64),
+            top, kept, discordant, counts,
+            np.empty(2 * n, np.float64), np.empty(2 * n, np.int64),
+        )
+    else:
+        orders = np.argsort(keys, axis=1, kind="stable")
+        positions = np.empty_like(orders)
+        np.put_along_axis(
+            positions, orders, np.broadcast_to(np.arange(n), orders.shape), axis=1
+        )
+        # positions of the baseline's items, in baseline order: one
+        # permutation per trial whose inversions are the discordant pairs
+        discordant = count_inversions_batch(positions[:, base_order])
+        counts = (positions[:, base_order[:kept]] < kept).sum(axis=1)
     outcomes: list[tuple[float, float, bool]] = []
-    for t in range(orders.shape[1]):
+    for t in range(trials):
         tau = kendall_tau_from_discordant(int(discordant[t]), n)
         overlap = int(counts[t]) / kept
         outcomes.append((tau, overlap, bool(counts[t] != kept)))
@@ -261,7 +265,7 @@ def run_perturbation_kernel(
     scores = _accumulate_scores(
         columns, weight_matrix, any_missing, scorer.missing_policy
     )
-    return _movement_outcomes(base_order, _stable_orders(scores), payload.k)
+    return _movement_outcomes(base_order, scores, payload.k)
 
 
 # -- data uncertainty ----------------------------------------------------------
@@ -270,7 +274,7 @@ def run_perturbation_kernel(
 def _noise_matrices(
     payload: UncertaintyTrialPayload, trials: int, start: int = 0
 ) -> dict[str, np.ndarray]:
-    """Per-attribute ``(n x T)`` noise, drawn exactly like ``_noisy_table``.
+    """Per-attribute ``(T x n)`` noise, drawn exactly like ``_noisy_table``.
 
     Trial ``t`` consumes ``trial_rng(seed, start + t)`` with one ``normal``
     batch per noisy attribute in ``attribute_stds`` order (skipping
@@ -281,21 +285,20 @@ def _noise_matrices(
     """
     table = payload.table
     scoring = set(payload.scorer.attributes())
-    columns: dict[str, np.ndarray] = {}
-    masks: dict[str, np.ndarray] = {}
+    #: per noisy attribute, its non-missing rows: where a draw lands
+    present: dict[str, np.ndarray] = {}
     for attr, std in payload.attribute_stds:
-        if std == 0.0 or attr in columns:
+        if std == 0.0 or attr in present:
             continue
         try:
-            columns[attr] = table.numeric_column(attr).values
+            values = table.numeric_column(attr).values
         except Exception as exc:
             raise _KernelFallback(f"noisy attribute {attr!r} unusable: {exc}") from exc
-        masks[attr] = ~np.isnan(columns[attr])
-    sizes = {attr: int(mask.sum()) for attr, mask in masks.items()}
+        present[attr] = np.flatnonzero(~np.isnan(values))
     n = table.num_rows
     noise = {
-        attr: np.zeros((n, trials), dtype=np.float64)
-        for attr in masks
+        attr: np.zeros((trials, n), dtype=np.float64)
+        for attr in present
         if attr in scoring
     }
     for t in range(trials):
@@ -303,11 +306,12 @@ def _noise_matrices(
         for attr, std in payload.attribute_stds:
             if std == 0.0:
                 continue
-            draw = rng.normal(0.0, payload.epsilon * std, size=sizes[attr])
+            rows = present[attr]
+            draw = rng.normal(0.0, payload.epsilon * std, size=rows.size)
             matrix = noise.get(attr)
             if matrix is None:
                 continue  # draw consumed, column never scored
-            matrix[:, t][masks[attr]] = draw  # assignment: repeats overwrite
+            matrix[t, rows] = draw  # assignment: repeats overwrite
     return noise
 
 
@@ -323,7 +327,7 @@ def run_uncertainty_kernel(
     _verified_baseline(payload, ids, base_order, payload.k)
     noise = _noise_matrices(payload, trials, start)
     n = table.num_rows
-    scores = np.zeros((n, trials), dtype=np.float64)
+    scores = np.zeros((trials, n), dtype=np.float64)
     any_missing = np.zeros(n, dtype=bool)
     for attr, weight in scorer.weights.items():
         try:
@@ -333,16 +337,19 @@ def run_uncertainty_kernel(
         missing = np.isnan(column)
         any_missing |= missing
         if attr in noise:
-            values = column[:, None] + noise[attr]
-            values[missing, :] = 0.0
-            scores += weight * values
+            # in place: the noise matrix becomes weight * (column + noise)
+            values = noise[attr]
+            values += column[None, :]
+            values[:, missing] = 0.0
+            values *= weight
+            scores += values
         else:
             values = column.copy()
             values[missing] = 0.0
-            scores += weight * values[:, None]
+            scores += weight * values[None, :]
     if scorer.missing_policy == "propagate":
-        scores[any_missing, :] = np.nan
-    return _movement_outcomes(base_order, _stable_orders(scores), payload.k)
+        scores[:, any_missing] = np.nan
+    return _movement_outcomes(base_order, scores, payload.k)
 
 
 # -- per-attribute stability ---------------------------------------------------
@@ -402,26 +409,27 @@ def _top_set_kept(keys: np.ndarray, member: np.ndarray) -> np.ndarray:
     Under the stable ascending order of ``keys`` (ties by ascending row)
     that holds exactly when the worst member — largest key, on a tie the
     largest row — precedes the best non-member — smallest key, on a tie
-    the smallest row.  Two column reductions decide it; nothing sorts.
+    the smallest row.  Two row reductions of the ``(T x n)`` keys decide
+    it; nothing sorts.
     """
     others = ~member
     if not others.any():
-        return np.ones(keys.shape[1], dtype=bool)
-    member_keys = keys[member]
-    other_keys = keys[others]
-    worst = member_keys.max(axis=0)
-    best = other_keys.min(axis=0)
+        return np.ones(keys.shape[0], dtype=bool)
+    member_keys = keys[:, member]
+    other_keys = keys[:, others]
+    worst = member_keys.max(axis=1)
+    best = other_keys.min(axis=1)
     kept = worst < best
     tied = np.flatnonzero(worst == best)
     if tied.size:
-        member_rows = np.flatnonzero(member)[:, None]
-        other_rows = np.flatnonzero(others)[:, None]
+        member_rows = np.flatnonzero(member)[None, :]
+        other_rows = np.flatnonzero(others)[None, :]
         worst_row = np.where(
-            member_keys[:, tied] == worst[tied], member_rows, -1
-        ).max(axis=0)
+            member_keys[tied] == worst[tied, None], member_rows, -1
+        ).max(axis=1)
         best_row = np.where(
-            other_keys[:, tied] == best[tied], other_rows, keys.shape[0]
-        ).min(axis=0)
+            other_keys[tied] == best[tied, None], other_rows, keys.shape[1]
+        ).min(axis=1)
         kept[tied] = worst_row < best_row
     return kept
 

@@ -63,9 +63,11 @@ def test_serial_oracle_matches_vectorized():
 
 
 def test_numpy_fallback_matches_every_pin(monkeypatch):
-    """With the compiled inversion kernel disabled, the numpy merge
-    rebuilds every pinned label to the same bytes."""
+    """With both compiled kernels disabled, the numpy argsort path and
+    the numpy inversion merge rebuild every pinned label to the same
+    bytes."""
     from repro import _native
 
     monkeypatch.setattr(_native, "kernel", None)
+    monkeypatch.setattr(_native, "movement", None)
     assert label_digests(cases()) == load_pins()

@@ -28,15 +28,15 @@ RACER = textwrap.dedent(
     (target / f"ready-{index}").touch()
     while len(list(target.glob("ready-*"))) < racers:
         time.sleep(0.001)
-    kernel, reason = _native.load([target / "lib"])
-    assert kernel is not None, reason
+    kernel, movement, reason = _native.load([target / "lib"])
+    assert kernel is not None and movement is not None, reason
     """
 )
 
 
 needs_compiler = pytest.mark.skipif(
     _native.kernel is None,
-    reason=f"native inversion kernel did not load: {_native.reason}",
+    reason=f"native kernels did not load: {_native.reason}",
 )
 
 
@@ -64,6 +64,24 @@ def counts(kernel, batch) -> list[int]:
     return out.tolist()
 
 
+def movements(movement) -> tuple[list[int], list[int]]:
+    """Discordant pairs and top-2 overlap of three trials over 3 rows."""
+    keys = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    base_order = np.arange(3, dtype=np.int64)
+    top = np.array([1, 1, 0], dtype=np.uint8)
+    discordant = np.empty(3, dtype=np.int64)
+    overlap = np.empty(3, dtype=np.int64)
+    movement(keys, 3, 3, base_order, top, 2, discordant, overlap,
+             np.empty(6, np.float64), np.empty(6, np.int64))
+    return discordant.tolist(), overlap.tolist()
+
+
+def assert_bound(kernel, movement) -> None:
+    assert counts(kernel, [[2, 0, 1], [0, 1, 2], [1, 1, 0]]) == [2, 0, 2]
+    # the tied trial ranks rows 2, 0, 1: ties go to the lower row
+    assert movements(movement) == ([0, 3, 2], [2, 1, 1])
+
+
 @needs_compiler
 def test_first_load_compiles_into_the_directory(tmp_path, monkeypatch):
     compiled = []
@@ -74,12 +92,12 @@ def test_first_load_compiles_into_the_directory(tmp_path, monkeypatch):
         real_compile(*args)
 
     monkeypatch.setattr(_native, "_compile", counted_compile)
-    kernel, reason = _native.load([tmp_path])
+    kernel, movement, reason = _native.load([tmp_path])
     assert reason is None
     assert len(compiled) == 1
     (library,) = libraries(tmp_path)
     assert library == _native.library_path(tmp_path, _native._compile_command())
-    assert counts(kernel, [[2, 0, 1], [0, 1, 2], [1, 1, 0]]) == [2, 0, 2]
+    assert_bound(kernel, movement)
 
 
 @needs_compiler
@@ -91,8 +109,9 @@ def test_second_load_reuses_the_library(tmp_path, monkeypatch):
         raise AssertionError("a cached library must not be rebuilt")
 
     monkeypatch.setattr(_native, "_compile", no_compiler)
-    kernel, reason = _native.load([tmp_path])
-    assert reason is None and kernel is not None
+    kernel, movement, reason = _native.load([tmp_path])
+    assert reason is None
+    assert_bound(kernel, movement)
     assert libraries(tmp_path) == built
 
 
@@ -106,8 +125,9 @@ def test_key_covers_the_compile_command(tmp_path):
 def test_unwritable_directory_falls_through_to_the_next(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where a directory should be")
-    kernel, reason = _native.load([blocker / "lib", tmp_path / "cache"])
-    assert reason is None and kernel is not None
+    kernel, movement, reason = _native.load([blocker / "lib", tmp_path / "cache"])
+    assert reason is None
+    assert_bound(kernel, movement)
     assert len(libraries(tmp_path / "cache")) == 1
 
 
@@ -132,8 +152,8 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch, warnings_lo
     monkeypatch.setattr(
         _native, "_compile_command", lambda: ["no-such-cc-anywhere", "-O2", "-shared", "-fPIC"]
     )
-    kernel, reason = _native.load([tmp_path])
-    assert kernel is None
+    kernel, movement, reason = _native.load([tmp_path])
+    assert kernel is None and movement is None
     assert "no-such-cc-anywhere" in reason
     assert len(warnings_logged) == 1
     assert reason in warnings_logged[0].getMessage()
@@ -145,6 +165,20 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch, warnings_lo
 
 def test_missing_source_falls_back_to_numpy(tmp_path, monkeypatch, warnings_logged):
     monkeypatch.setattr(_native, "SOURCE", tmp_path / "absent.c")
-    kernel, reason = _native.load([tmp_path])
-    assert kernel is None and "absent.c" in reason
+    kernel, movement, reason = _native.load([tmp_path])
+    assert kernel is None and movement is None and "absent.c" in reason
+    assert len(warnings_logged) == 1
+
+
+@needs_compiler
+def test_library_without_the_movement_symbol_binds_neither(
+    tmp_path, monkeypatch, warnings_logged
+):
+    source = _native.SOURCE.read_text()
+    older = tmp_path / "inversions.c"
+    older.write_text(source[: source.index("void rank_movement_batch")])
+    monkeypatch.setattr(_native, "SOURCE", older)
+    kernel, movement, reason = _native.load([tmp_path / "lib"])
+    assert kernel is None and movement is None
+    assert "rank_movement_batch" in reason
     assert len(warnings_logged) == 1

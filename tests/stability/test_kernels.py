@@ -10,12 +10,14 @@ back to the scalar path.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.datasets import synthetic_scores_table
 from repro.engine.backends import VectorizedTrialBackend
 from repro.ranking.ranker import rank_table
@@ -26,6 +28,7 @@ from repro.stability import (
     per_attribute_stability,
 )
 from repro.stability.kernels import (
+    _movement_outcomes,
     dispatch_kernel,
     kernel_for,
     run_attribute_kernel,
@@ -37,10 +40,15 @@ from repro.stability.perturbation import (
     PerturbationTrialPayload,
     _perturbation_trial,
 )
-from repro.stability.uncertainty import _uncertainty_trial
+from repro.stability.uncertainty import UncertaintyTrialPayload, _uncertainty_trial
 from repro.tabular import Table
 
 WEIGHTS = {"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2}
+
+needs_native = pytest.mark.skipif(
+    _native.movement is None,
+    reason=f"native kernels did not load: {_native.reason}",
+)
 
 
 def mc_table(n=60, seed=11):
@@ -261,6 +269,22 @@ WEIGHT_VALUES = st.one_of(
 )
 
 
+def draw_table(data, n, names):
+    """An ``item`` id column plus one drawn ``CELLS`` column per name."""
+    columns = {
+        name: data.draw(st.lists(CELLS, min_size=n, max_size=n), label=name)
+        for name in names
+    }
+    return Table.from_dict({"item": [f"i{j}" for j in range(n)], **columns})
+
+
+K_CHOICES = st.sampled_from(["1", "n-1", "n", "n+1"])
+
+
+def k_for(choice, n):
+    return {"1": 1, "n-1": max(1, n - 1), "n": n, "n+1": n + 1}[choice]
+
+
 class TestAttributeKernelProperty:
     """The sort-free per-attribute kernel == the scalar trial path."""
 
@@ -270,7 +294,7 @@ class TestAttributeKernelProperty:
         weights=st.lists(WEIGHT_VALUES, min_size=3, max_size=3),
         policy=st.sampled_from(["zero", "propagate"]),
         attribute=st.sampled_from(["a", "b", "c"]),
-        k_choice=st.sampled_from(["1", "n-1", "n", "n+1"]),
+        k_choice=K_CHOICES,
         log_epsilon=st.floats(-12.0, 0.0),
         seed=st.integers(0, 2**16),
         trials=st.integers(1, 12),
@@ -282,15 +306,11 @@ class TestAttributeKernelProperty:
         seed, trials, start,
     ):
         assume(any(w != 0.0 for w in weights))
-        columns = {
-            name: data.draw(st.lists(CELLS, min_size=n, max_size=n), label=name)
-            for name in ("a", "b", "c")
-        }
-        table = Table.from_dict({"item": [f"i{j}" for j in range(n)], **columns})
+        table = draw_table(data, n, ("a", "b", "c"))
         scorer = LinearScoringFunction(
             dict(zip(("a", "b", "c"), weights)), missing_policy=policy
         )
-        k = {"1": 1, "n-1": max(1, n - 1), "n": n, "n+1": n + 1}[k_choice]
+        k = k_for(k_choice, n)
         payload = attribute_payload(
             table, scorer, attribute, 10.0 ** log_epsilon, k, seed
         )
@@ -366,6 +386,179 @@ class TestAttributeKernelProperty:
         for payload in payloads:
             run_attribute_kernel(payload, 30)
         assert calls == []
+
+
+def uncertainty_payload(table, scorer, attribute_stds, epsilon, k, seed):
+    """An uncertainty payload with a free-form ``attribute_stds``."""
+    ids = rank_table(table, scorer, "item").item_ids()
+    return UncertaintyTrialPayload(
+        table=table,
+        scorer=scorer,
+        id_column="item",
+        baseline_ids=tuple(ids),
+        baseline_top=frozenset(ids[:k]),
+        attribute_stds=tuple(attribute_stds),
+        k=k,
+        epsilon=epsilon,
+        seed=seed,
+    )
+
+
+class TestPerturbationKernelProperty:
+    """The trial-major perturbation kernel == the scalar trial path."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 14),
+        weights=st.lists(WEIGHT_VALUES, min_size=3, max_size=3),
+        policy=st.sampled_from(["zero", "propagate"]),
+        k_choice=K_CHOICES,
+        log_epsilon=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**16),
+        trials=st.integers(1, 12),
+        start=st.sampled_from([0, 7, 40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_trials(
+        self, data, n, weights, policy, k_choice, log_epsilon, seed, trials, start,
+    ):
+        assume(any(w != 0.0 for w in weights))
+        table = draw_table(data, n, ("a", "b", "c"))
+        scorer = LinearScoringFunction(
+            dict(zip(("a", "b", "c"), weights)), missing_policy=policy
+        )
+        payload = WeightPerturbationStability(
+            table, scorer, "item", k=k_for(k_choice, n), trials=1, seed=seed
+        )._payload_at(10.0 ** log_epsilon)
+        assert run_perturbation_kernel(payload, trials, start) == scalar_batch(
+            _perturbation_trial, payload, trials, start
+        )
+
+
+class TestUncertaintyKernelProperty:
+    """The trial-major uncertainty kernel == the scalar trial path.
+
+    ``attribute_stds`` is drawn free-form: repeated attributes, zero
+    stds and a noisy column ``d`` the scorer never reads all occur.
+    """
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 14),
+        weights=st.lists(WEIGHT_VALUES, min_size=3, max_size=3),
+        policy=st.sampled_from(["zero", "propagate"]),
+        attribute_stds=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+            ),
+            max_size=6,
+        ),
+        k_choice=K_CHOICES,
+        log_epsilon=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**16),
+        trials=st.integers(1, 12),
+        start=st.sampled_from([0, 7, 40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_trials(
+        self, data, n, weights, policy, attribute_stds, k_choice, log_epsilon,
+        seed, trials, start,
+    ):
+        assume(any(w != 0.0 for w in weights))
+        table = draw_table(data, n, ("a", "b", "c", "d"))
+        scorer = LinearScoringFunction(
+            dict(zip(("a", "b", "c"), weights)), missing_policy=policy
+        )
+        payload = uncertainty_payload(
+            table, scorer, attribute_stds, 10.0 ** log_epsilon,
+            k_for(k_choice, n), seed,
+        )
+        assert run_uncertainty_kernel(payload, trials, start) == scalar_batch(
+            _uncertainty_trial, payload, trials, start
+        )
+
+
+#: score cells for the fused kernel: ties, signed zeros, infinities, NaN
+MOVEMENT_CELLS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+def numpy_movement(base_order, scores, k):
+    """``_movement_outcomes`` with the fused C kernel unbound."""
+    with mock.patch.object(_native, "movement", None):
+        return _movement_outcomes(base_order, scores, k)
+
+
+@needs_native
+class TestFusedMovementKernel:
+    """``rank_movement_batch`` == the numpy argsort path it replaces."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 40),
+        trials=st.integers(1, 6),
+        k_choice=K_CHOICES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_path(self, data, n, trials, k_choice):
+        scores = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(MOVEMENT_CELLS, min_size=n, max_size=n),
+                    min_size=trials, max_size=trials,
+                ),
+                label="scores",
+            ),
+            dtype=np.float64,
+        )
+        base_order = np.array(
+            data.draw(st.permutations(range(n)), label="base_order"), dtype=np.int64
+        )
+        k = k_for(k_choice, n)
+        assert _movement_outcomes(base_order, scores, k) == numpy_movement(
+            base_order, scores, k
+        )
+
+    @pytest.mark.parametrize("k", [1, 10, 6888, 6889, 6890])
+    def test_matches_numpy_path_at_compas_size(self, k):
+        rng = np.random.default_rng(k)
+        n = 6889
+        base = rng.integers(0, 40, n).astype(np.float64)
+        scores = base[None, :] + rng.integers(-2, 3, (8, n))
+        scores[:, rng.integers(0, n, 30)] = np.nan
+        scores[1] = -0.0
+        # a realistic baseline (the unperturbed order) and an arbitrary one
+        for base_order in (np.argsort(-base, kind="stable"), rng.permutation(n)):
+            assert _movement_outcomes(base_order, scores, k) == numpy_movement(
+                base_order, scores, k
+            )
+
+    def test_fused_kernels_never_argsort_trials(self, monkeypatch):
+        """Structural guard: no (T x n) argsort with the fused kernel bound."""
+        table = mc_table(n=200, seed=4)
+        scorer = LinearScoringFunction(WEIGHTS)
+        payloads = [
+            (run_perturbation_kernel, WeightPerturbationStability(
+                table, scorer, "item", k=10, trials=1, seed=3
+            )._payload_at(0.2)),
+            (run_uncertainty_kernel, DataUncertaintyStability(
+                table, scorer, "item", k=10, trials=1, seed=3
+            )._payload_at(0.2)),
+        ]
+        two_d = []
+
+        def counted(a, *args, _original=np.argsort, **kwargs):
+            if np.ndim(a) == 2:
+                two_d.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        for kernel, payload in payloads:
+            kernel(payload, 30)
+        assert two_d == []
 
 
 class TestFallbackDispatch:
