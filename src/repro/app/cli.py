@@ -1023,22 +1023,30 @@ def _format_stats(stats: dict, previous: dict | None = None) -> str:
     return "\n".join(lines)
 
 
+def _fetch_json(url: str, timeout: float = 10.0) -> dict:
+    """``GET url`` as a JSON object; any failure is a :class:`RankingFactsError`.
+
+    The error chains the underlying exception, so a caller can still
+    read an HTTP error's body from ``__cause__``.
+    """
+    import json
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            payload = json.load(response)
+    except (OSError, ValueError) as exc:
+        raise RankingFactsError(f"cannot fetch {url}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise RankingFactsError(f"{url} did not return a JSON object")
+    return payload
+
+
 def _run_stats(args: argparse.Namespace) -> str:
     import json
     import time
-    import urllib.request
 
     url = args.url.rstrip("/") + "/engine/stats"
-
-    def fetch() -> dict:
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                payload = json.load(response)
-        except (OSError, ValueError) as exc:
-            raise RankingFactsError(f"cannot fetch {url}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RankingFactsError(f"{url} did not return a JSON object")
-        return payload
 
     def render(payload: dict, previous: dict | None = None) -> str:
         if args.raw:
@@ -1046,11 +1054,11 @@ def _run_stats(args: argparse.Namespace) -> str:
         return _format_stats(payload, previous)
 
     if not args.watch:
-        return render(fetch())
+        return render(_fetch_json(url))
     previous: dict | None = None
     try:
         while True:
-            payload = fetch()
+            payload = _fetch_json(url)
             # clear + home, like `watch(1)`, so the view updates in place
             print("\x1b[2J\x1b[H" + f"{args.url}  (Ctrl-C to stop)")
             # the prior frame turns the CPU figure into a live rate
@@ -1332,7 +1340,6 @@ def _resolve_id(resolve: Callable[[str], str], kind: str, prefix: str) -> str:
 def _run_trace(args: argparse.Namespace) -> str:
     import json
     import urllib.error
-    import urllib.request
 
     from repro.telemetry import span_tree
 
@@ -1341,31 +1348,24 @@ def _run_trace(args: argparse.Namespace) -> str:
 
         def fetch(path: str) -> dict:
             try:
-                with urllib.request.urlopen(base + path, timeout=10) as response:
-                    payload = json.load(response)
-            except urllib.error.HTTPError as exc:
+                return _fetch_json(base + path)
+            except RankingFactsError as exc:
+                http_error = exc.__cause__
+                if not isinstance(http_error, urllib.error.HTTPError):
+                    raise
                 # a 404 body carries the reason — and, for an ambiguous
                 # prefix, the candidate ids; surface them, not the code
                 try:
-                    body = json.load(exc)
+                    body = json.load(http_error)
                 except ValueError:
                     body = {}
                 matches = body.get("matches")
-                error = str(body.get("error") or exc)
+                error = str(body.get("error") or http_error)
                 if isinstance(matches, list) and matches:
                     raise _ambiguous_id_error(
                         "trace id", args.trace_id, matches, error
-                    ) from exc
-                raise RankingFactsError(error) from exc
-            except (OSError, ValueError) as exc:
-                raise RankingFactsError(
-                    f"cannot fetch {base + path}: {exc}"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise RankingFactsError(
-                    f"{base + path} did not return a JSON object"
-                )
-            return payload
+                    ) from http_error
+                raise RankingFactsError(error) from http_error
 
         if args.trace_command == "ls":
             payload = fetch(f"/traces?limit={args.limit}")
@@ -1405,23 +1405,12 @@ def _run_profile(args: argparse.Namespace) -> str:
     import json
     import os
     import threading
-    import urllib.request
 
     from repro.telemetry import ProfileReport
 
     # each capture blocks its handler for the whole window; give the
     # socket timeout generous headroom past it
     timeout = max(30.0, args.seconds * 2 + 10.0)
-
-    def fetch_json(url: str) -> dict:
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as response:
-                payload = json.load(response)
-        except (OSError, ValueError) as exc:
-            raise RankingFactsError(f"cannot fetch {url}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RankingFactsError(f"{url} did not return a JSON object")
-        return payload
 
     base = args.url.rstrip("/")
     addresses: list[str] = list(args.worker)
@@ -1430,15 +1419,13 @@ def _run_profile(args: argparse.Namespace) -> str:
             args.registry or os.environ.get("REPRO_TRIAL_REGISTRY") or None
         )
         if registry_url:
-            rows = (
-                fetch_json(registry_url.rstrip("/") + "/workers").get("workers")
-                or []
-            )
+            workers_url = registry_url.rstrip("/") + "/workers"
+            rows = _fetch_json(workers_url, timeout).get("workers") or []
             discovered = [
                 str(row.get("address")) for row in rows if row.get("address")
             ]
         else:  # no registry: the coordinator already knows its fleet
-            stats = fetch_json(base + "/engine/stats")
+            stats = _fetch_json(base + "/engine/stats", timeout)
             cluster = (stats.get("executor") or {}).get("trial_cluster") or {}
             discovered = [
                 str(row.get("address"))
@@ -1465,7 +1452,7 @@ def _run_profile(args: argparse.Namespace) -> str:
 
     def capture(index: int, url: str) -> None:
         try:
-            results[index] = fetch_json(url)
+            results[index] = _fetch_json(url, timeout)
         except RankingFactsError as exc:
             results[index] = exc
 
@@ -1607,7 +1594,6 @@ def _format_fleet_cluster(url: str, cluster: dict | None) -> list[str]:
 def _run_fleet(args: argparse.Namespace) -> str:
     import json
     import os
-    import urllib.request
 
     assert args.fleet_command == "status"
     registry_url = (
@@ -1619,26 +1605,16 @@ def _run_fleet(args: argparse.Namespace) -> str:
             "and/or --url SERVER"
         )
 
-    def fetch(url: str) -> dict:
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                payload = json.load(response)
-        except (OSError, ValueError) as exc:
-            raise RankingFactsError(f"cannot fetch {url}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RankingFactsError(f"{url} did not return a JSON object")
-        return payload
-
     raw: dict = {}
     lines: list[str] = []
     if registry_url is not None:
         base = registry_url.rstrip("/")
-        workers = fetch(base + "/workers")
-        stats = fetch(base + "/stats")
+        workers = _fetch_json(base + "/workers")
+        stats = _fetch_json(base + "/stats")
         raw["registry"] = {"workers": workers, "stats": stats}
         lines += _format_fleet_registry(base, workers, stats)
     if args.url is not None:
-        stats = fetch(args.url.rstrip("/") + "/engine/stats")
+        stats = _fetch_json(args.url.rstrip("/") + "/engine/stats")
         raw["server"] = stats
         cluster = (stats.get("executor") or {}).get("trial_cluster")
         lines += _format_fleet_cluster(args.url, cluster)

@@ -67,10 +67,15 @@ Per-session routes (``<token>`` from ``POST /session``):
 - ``GET  /session/<token>/preview``  — ranking top rows as JSON;
 - ``GET  /session/<token>/attributes`` — the design view's overview.
 
-The seed's single-session routes (``/label``, ``/preview``,
-``/attributes``, ``POST /dataset``, ``POST /design``) still work and
-address the *default* session — the one :func:`make_server` was bound
-to — so existing clients and the CLI's ``serve`` are unaffected.
+The seed's single-session routes (``/label``, ``/label.html``,
+``/label.stream``, ``/preview``, ``/attributes``, ``POST /dataset``,
+``POST /design``) still work: they are the per-session routes of the
+*default* session — the one :func:`make_server` was bound to, adopted
+into the registry — so existing clients and the CLI's ``serve`` are
+unaffected.
+
+The server runs on the daemon skeleton the cluster daemons share
+(:mod:`repro.cluster.daemon`), except for its response write policy.
 
 Use :func:`make_server` in tests (ephemeral port) and
 :func:`serve_forever` from the CLI.
@@ -81,17 +86,21 @@ from __future__ import annotations
 import json
 import os
 import secrets
-import socket
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
 
 from repro.app.session import DemoSession, SessionStage
 from repro.app.sse import SSEStream
+from repro.cluster.daemon import (
+    DaemonHandle,
+    DaemonHandler,
+    DaemonServer,
+    serve_until_stopped,
+)
 from repro.datasets.loaders import list_datasets
 from repro.engine.jobs import JobStatus, LabelJob
 from repro.engine.service import LabelService
@@ -312,11 +321,15 @@ _SESSION_SUBROUTES = frozenset({
     "label", "label.html", "label.stream", "preview", "attributes",
     "status", "close", "dataset", "design",
 })
+#: the seed's single-session routes: the default session's own views
+#: (GET) and actions (POST), served as ``/session/<default token>/...``
+_LEGACY_VIEWS = frozenset({
+    "label", "label.html", "label.stream", "preview", "attributes",
+})
+_LEGACY_ACTIONS = frozenset({"dataset", "design"})
 _TOP_ROUTES = frozenset({
     "health", "healthz", "metrics", "datasets", "sessions",
-    "label", "label.html", "label.stream", "preview", "attributes",
-    "dataset", "design",
-})
+}) | _LEGACY_VIEWS | _LEGACY_ACTIONS
 
 
 def _route_template(parts: list[str]) -> str:
@@ -463,12 +476,13 @@ class _StreamGate:
         return True
 
 
-class _RankingFactsHandler(BaseHTTPRequestHandler):
+class _RankingFactsHandler(DaemonHandler):
     """Routes requests against the registry and the shared service."""
 
     # set by make_server on the subclass
     registry: SessionRegistry = None  # type: ignore[assignment]
-    default_session: DemoSession | None = None
+    # the adopted default session's registry token; None when headless
+    default_token: "str | None" = None
     # resolved sandbox directory server-side "csv" paths must live
     # under; None disables local paths entirely
     local_path_root: "Path | None" = None
@@ -500,31 +514,13 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
     _recorded = True  # only _handle arms the per-request metrics
 
     server_version = "RankingFacts/2.0"
-    # chunked transfer (the streaming endpoints) requires HTTP/1.1;
-    # plain responses still carry Content-Length, so keep-alive works
-    protocol_version = "HTTP/1.1"
+    # the one write policy that differs from the cluster daemons: Nagle
+    # stays on and _send_raw writes head and body separately (see
+    # repro.cluster.daemon)
+    disable_nagle_algorithm = False
     # reap keep-alive connections idle longer than this, so abandoned
     # clients cannot hold handler threads forever
     timeout = 60
-
-    def setup(self) -> None:
-        super().setup()
-        lock = getattr(self.server, "live_lock", None)
-        if lock is not None:
-            with lock:
-                self.server.live_connections.add(self.connection)
-
-    def finish(self) -> None:
-        try:
-            super().finish()
-        finally:
-            lock = getattr(self.server, "live_lock", None)
-            if lock is not None:
-                with lock:
-                    self.server.live_connections.discard(self.connection)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep tests and CLI output clean
 
     def _send_raw(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)
@@ -663,11 +659,12 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise RankingFactsError("POST body required")
-        raw = self.rfile.read(length)
+    def _read_json_body(self, required: bool = True) -> dict:
+        raw = self._read_body()
+        if not raw:
+            if required:
+                raise RankingFactsError("POST body required")
+            return {}
         try:
             body = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -680,13 +677,17 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         return [part for part in path.split("/") if part], query
 
-    def _default(self) -> DemoSession:
-        if self.default_session is None:
+    def _routed_parts(self, legacy: frozenset[str]) -> list[str]:
+        """The path's parts, a single-session route moved under the default token."""
+        parts, _ = self._split()
+        if len(parts) != 1 or parts[0] not in legacy:
+            return parts
+        if self.default_token is None:
             raise RankingFactsError(
                 "no default session bound; open one with POST /session "
                 "and use the /session/<token>/ routes"
             )
-        return self.default_session
+        return ["session", self.default_token, parts[0]]
 
     def _label_for(self, session: DemoSession):
         if session.stage is not SessionStage.LABELED:
@@ -854,7 +855,7 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
     # -- GET routing ---------------------------------------------------------------
 
     def _route_get(self) -> None:
-        parts, _ = self._split()
+        parts = self._routed_parts(_LEGACY_VIEWS)
         if not parts:
             self._send(200, "text/html", _LANDING_PAGE)
         elif parts == ["health"]:
@@ -901,10 +902,6 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             self._get_session_view(session, parts[2])
         elif parts[0] == "jobs" and len(parts) == 2:
             self._get_batch(parts[1])
-        elif len(parts) == 1 and parts[0] in (
-            "label", "label.html", "label.stream", "preview", "attributes",
-        ):
-            self._get_session_view(self._default(), parts[0])
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
@@ -1112,7 +1109,7 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
     # -- POST routing -----------------------------------------------------------------
 
     def _route_post(self) -> None:
-        parts, _ = self._split()
+        parts = self._routed_parts(_LEGACY_ACTIONS)
         if not parts:
             self._send_json(404, {"error": "unknown POST path '/'"})
         elif parts == ["session"]:
@@ -1134,16 +1131,11 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
             self._post_session_action(session, parts[2])
         elif parts == ["jobs"]:
             self._post_jobs()
-        elif parts == ["dataset"]:
-            self._post_session_action(self._default(), "dataset")
-        elif parts == ["design"]:
-            self._post_session_action(self._default(), "design")
         else:
             self._send_json(404, {"error": f"unknown POST path {self.path!r}"})
 
     def _post_new_session(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self._read_json_body() if length > 0 else {}
+        body = self._read_json_body(required=False)
         token, session = self.registry.create()
         try:
             if "dataset" in body:
@@ -1205,18 +1197,17 @@ class _RankingFactsHandler(BaseHTTPRequestHandler):
         )
 
 
-class ServerHandle:
+class ServerHandle(DaemonHandle):
     """A running server plus its background thread (context manager)."""
 
     def __init__(
         self,
-        server: ThreadingHTTPServer,
+        server: DaemonServer,
         registry: SessionRegistry,
         trace_collector: "TraceCollector | None" = None,
         resources: "ResourceCollector | None" = None,
     ):
-        self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        super().__init__(server)
         self.registry = registry
         self.trace_collector = trace_collector
         self.resources = resources
@@ -1232,16 +1223,6 @@ class ServerHandle:
         return str(host), int(port)
 
     @property
-    def url(self) -> str:
-        """Base URL for client requests."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def __enter__(self) -> "ServerHandle":
-        self._thread.start()
-        return self
-
-    @property
     def stream_gate(self) -> "_StreamGate":
         """The SSE admission gate (tests poke it directly)."""
         return self._server.stream_gate
@@ -1251,29 +1232,14 @@ class ServerHandle:
 
         New streams are rejected immediately (503); open streams get up
         to ``grace`` seconds to finish their current build, after which
-        any connection still alive is severed so the accept loop and
-        handler threads cannot hang on a stalled client.  Idempotent.
+        any connection still alive (e.g. a client that stopped reading,
+        or an idle kept-alive one) is severed so the accept loop and
+        handler threads cannot hang on it.  Idempotent.
         """
         gate = self._server.stream_gate
         gate.draining.set()
         gate.wait_idle(grace)
-        self._server.shutdown()
-        # handler loops see draining and close their streams; anything
-        # still connected now (e.g. a client that stopped reading) is
-        # cut off at the socket so finish()/join below cannot block
-        with self._server.live_lock:
-            leftover = list(self._server.live_connections)
-        for conn in leftover:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._server.server_close()
-        self._thread.join(timeout=grace)
+        super().stop()
         if self.trace_collector is not None:
             # detach the buffer listener so a later server in the same
             # process doesn't archive into a closed store
@@ -1287,9 +1253,6 @@ class ServerHandle:
             # server leaves the process profiler fully idle
             self.profiler.stop_continuous()
             self.owns_continuous = False
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def resolve_service_env(
@@ -1369,9 +1332,9 @@ def make_server(
 
     When the server builds its own service (no ``session``, no
     ``service``), the ``REPRO_TRIAL_BACKEND`` environment variable
-    selects the Monte-Carlo trial backend (``serial``, ``thread``,
-    ``process``, ``vectorized`` — the default batched-array-kernel
-    path — or ``remote``, which shards trials across the worker
+    selects the Monte-Carlo trial backend (``serial``, the scalar
+    reference loop; ``vectorized``, the default batched-array-kernel
+    path; or ``remote``, which shards trials across the worker
     daemons listed in ``REPRO_TRIAL_WORKERS`` as comma-separated
     ``host:port``; see :mod:`repro.cluster`); an unknown value fails
     here, at startup, not on the first label request.  The same goes
@@ -1439,8 +1402,7 @@ def make_server(
     registry = SessionRegistry(
         service, max_sessions=max_sessions, session_ttl=session_ttl
     )
-    if session is not None:
-        registry.adopt(session)
+    default_token = registry.adopt(session) if session is not None else None
     if metrics_exemplars is None:
         metrics_exemplars = os.environ.get(
             "REPRO_METRICS_EXEMPLARS", ""
@@ -1485,7 +1447,7 @@ def make_server(
         (_RankingFactsHandler,),
         {
             "registry": registry,
-            "default_session": session,
+            "default_token": default_token,
             "local_path_root": local_path_root,
             "metrics": bound_metrics,
             "metrics_exemplars": metrics_exemplars,
@@ -1500,11 +1462,8 @@ def make_server(
         registries=lambda: [bound_metrics, get_default_registry()]
         + list(registry.service.metrics_registries())
     )
-    server = ThreadingHTTPServer((host, port), handler)
+    server = DaemonServer((host, port), handler)
     server.stream_gate = _StreamGate(max_streams)
-    # every accepted connection, for stop()'s last-resort severing
-    server.live_connections = set()
-    server.live_lock = threading.Lock()
     handle = ServerHandle(
         server, registry, trace_collector=collector, resources=resources
     )
@@ -1527,16 +1486,18 @@ def serve_forever(
     profile: bool | None = None,
     track_allocations: bool = False,
 ) -> None:
-    """Run the demo server until interrupted (the CLI's ``serve``).
+    """Run the demo server until SIGTERM or Ctrl-C (the CLI's ``serve``).
 
-    ``log_level`` (or ``REPRO_LOG_LEVEL``) turns on structured JSON
-    logs on stderr, each line carrying the request's trace id; unset,
-    the server stays as quiet as it always was.
+    Either signal drains open streams and stops the server
+    (:meth:`ServerHandle.stop`).  ``log_level`` (or
+    ``REPRO_LOG_LEVEL``) turns on structured JSON logs on stderr, each
+    line carrying the request's trace id; unset, the server stays as
+    quiet as it always was.
     """
     log_level = log_level or os.environ.get("REPRO_LOG_LEVEL") or None
     if log_level:
         configure_logging(log_level)
-    with make_server(
+    handle = make_server(
         session,
         host=host,
         port=port,
@@ -1548,9 +1509,9 @@ def serve_forever(
         trace_slow_threshold=trace_slow_threshold,
         profile=profile,
         track_allocations=track_allocations,
-    ) as handle:
-        print(f"Ranking Facts demo serving on {handle.url} (Ctrl-C to stop)")
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("shutting down")
+    )
+    serve_until_stopped(
+        handle,
+        f"Ranking Facts demo serving on {handle.url} (Ctrl-C to stop)",
+        "shutting down",
+    )

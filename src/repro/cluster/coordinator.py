@@ -176,21 +176,20 @@ def _chunk_spans(trials: int, workers: int, chunk_size: int | None) -> list[tupl
 
 
 class WorkerClient:
-    """HTTP client for one worker daemon, over one persistent connection.
+    """HTTP client for one worker daemon.
 
-    The connection is opened lazily, kept alive across chunks (the
-    workers speak HTTP/1.1), and serialized by a lock — chunk payloads
-    are large enough that one pipe per worker is the right shape, and
-    the coordinator's scheduler already spreads concurrent chunks over
-    *different* workers.  A request that fails on a previously-good
-    connection is retried once on a fresh one (a worker restart or an
-    idle-timeout close is not worker death); :attr:`reconnects` counts
-    those re-opens for the ``trial_cluster`` stats.
+    Health probes share one persistent connection, opened lazily, kept
+    alive (the workers speak HTTP/1.1) and serialized by a lock.  A
+    probe that fails on a previously-good connection is retried once on
+    a fresh one (a worker restart or an idle-timeout close is not
+    worker death); :attr:`reconnects` counts those re-opens for the
+    ``trial_cluster`` stats.  Trial chunks do not use that connection:
+    they go through the :class:`~repro.cluster.multiplex.ChunkMultiplexer`
+    over a small pool of kept-alive stream sockets per worker.
 
     Every real failure mode — unreachable host, timeout, HTTP error
-    status, malformed response frame — surfaces as
-    :class:`ClusterError`, which is the signal the coordinator's
-    scheduler fails over on.
+    status, malformed response — surfaces as :class:`ClusterError`,
+    which is the signal the coordinator's scheduler fails over on.
     """
 
     def __init__(self, address: str, timeout: float = 30.0, probe_timeout: float = 5.0):
@@ -237,18 +236,12 @@ class WorkerClient:
         except OSError:
             pass
 
-    def _connect(self, timeout: float) -> http.client.HTTPConnection:
-        """The live connection (opened on demand), at ``timeout``."""
+    def _connect(self) -> http.client.HTTPConnection:
+        """The live probe connection (opened on demand)."""
         if self._connection is None:
             self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout
+                self.host, self.port, timeout=self.probe_timeout
             )
-        elif self._connection.sock is not None:
-            # reused connection: apply this request's timeout to the
-            # existing socket (probe vs chunk timeouts differ)
-            self._connection.sock.settimeout(timeout)
-        else:
-            self._connection.timeout = timeout
         return self._connection
 
     def _drop_connection(self) -> None:
@@ -270,18 +263,13 @@ class WorkerClient:
                     pass
             self._stream_sockets.clear()
 
-    def _request(
-        self, method: str, path: str, body: bytes | None, timeout: float
-    ) -> tuple[int, bytes]:
-        headers = (
-            {"Content-Type": "application/octet-stream"} if body is not None else {}
-        )
+    def _get(self, path: str) -> tuple[int, bytes]:
         with self._connection_lock:
             reused = self._connection is not None
             for attempt in (1, 2):
-                connection = self._connect(timeout)
+                connection = self._connect()
                 try:
-                    connection.request(method, path, body=body, headers=headers)
+                    connection.request("GET", path)
                     response = connection.getresponse()
                     payload = response.read()
                 except Exception as exc:
@@ -289,9 +277,8 @@ class WorkerClient:
                     # a stale kept-alive connection (worker restarted,
                     # idle close) fails on reuse; one fresh attempt
                     # distinguishes that from a genuinely dead worker.
-                    # NOT on timeout: a slow worker is already running
-                    # the chunk — re-sending it would double the
-                    # failover latency on the overloaded host
+                    # NOT on timeout: a slow worker is overloaded, and
+                    # asking again would double the failover latency
                     if (
                         attempt == 1
                         and reused
@@ -315,7 +302,7 @@ class WorkerClient:
         Returns the health document of a live, compatible worker;
         raises :class:`ClusterError` for anything else.
         """
-        status, raw = self._request("GET", "/healthz", None, self.probe_timeout)
+        status, raw = self._get("/healthz")
         if status != 200:
             raise ClusterError(
                 f"worker {self.address} health probe returned HTTP {status}"
@@ -337,36 +324,6 @@ class WorkerClient:
                 f"coordinator speaks v{wire.PROTOCOL_VERSION}; rejected"
             )
         return health
-
-    def run_chunk(
-        self, body: bytes, start: int, stop: int, trace_id: "str | None" = None
-    ) -> list:
-        """``POST /trials`` for span ``[start, stop)``; verified results.
-
-        ``trace_id`` is stamped into the request frame so the worker's
-        logs and metrics correlate with the originating request.
-        """
-        status, raw = self._request(
-            "POST",
-            "/trials",
-            wire.encode_request(body, start, stop, trace_id),
-            self.timeout,
-        )
-        if status != 200:
-            try:
-                detail = json.loads(raw).get("error", "")
-            except Exception:
-                detail = raw[:200].decode("utf-8", "replace")
-            message = (
-                f"worker {self.address} failed chunk [{start}, {stop}): "
-                f"HTTP {status}: {detail}"
-            )
-            # 500 is the worker's "the trial function itself raised"
-            # signal (worker.py) — not evidence the worker is unhealthy
-            if status == 500:
-                raise _TrialFaultError(message)
-            raise ClusterError(message)
-        return wire.decode_response(raw, start, stop)
 
 
 class _WorkerSlot:

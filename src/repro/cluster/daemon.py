@@ -1,19 +1,31 @@
-"""The HTTP skeleton shared by the cluster daemons (worker, registry).
+"""The HTTP skeleton shared by all three daemons (server, worker, registry).
 
-Every response leaves in one write on a ``TCP_NODELAY`` socket: a head
-and a body sent as two small segments with Nagle on wait ~40 ms for a
-kept-alive client's delayed ACK.  A client that went away ends quietly.
+A daemon is a :class:`DaemonServer` bound to a :class:`DaemonHandler`
+subclass and run by a :class:`DaemonHandle`: keep-alive HTTP/1.1, quiet
+logs, one request-body reader, a stop that severs kept-alive sockets,
+and one serve-until-SIGTERM-or-Ctrl-C loop (:func:`serve_until_stopped`).
+
+Worker and registry responses leave in one write on a ``TCP_NODELAY``
+socket: a head and a body sent as two small segments with Nagle on wait
+~40 ms for a kept-alive client's delayed ACK.  A client that went away
+ends quietly.  The label server (:mod:`repro.app.server`) keeps Nagle on
+and its two-write responses for now: with Nagle off, its plain-GET
+clients' label builds hold the GIL while SSE streams wait, and
+``serve-churn``'s first-widget latency doubles.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import signal
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-__all__ = ["DaemonHandler", "DaemonServer", "DaemonHandle"]
+from repro.errors import ClusterError
+
+__all__ = ["DaemonHandler", "DaemonServer", "DaemonHandle", "serve_until_stopped"]
 
 
 class DaemonServer(ThreadingHTTPServer):
@@ -42,10 +54,37 @@ class DaemonHandler(BaseHTTPRequestHandler):
         self.server.live_connections.add(self.request)
         super().setup()
 
+    def handle(self) -> None:
+        """Serve the connection; one reset by the client or a stop ends quietly."""
+        try:
+            super().handle()
+        except ConnectionError:
+            self.close_connection = True
+
     def finish(self) -> None:
         """Forget the socket once its connection is done."""
-        super().finish()
-        self.server.live_connections.discard(self.request)
+        try:
+            super().finish()
+        finally:
+            self.server.live_connections.discard(self.request)
+
+    def _read_body(self) -> bytes:
+        """The request body ``Content-Length`` declares (empty without one).
+
+        A length that is not a non-negative integer raises
+        :class:`ClusterError`, which each daemon answers with a 400 JSON
+        error.  The connection then closes: the unread body would
+        otherwise be parsed as the next request.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ClusterError(f"bad Content-Length header {declared!r}")
+        return self.rfile.read(length) if length else b""
 
     def _send_bytes(self, status: int, content_type: str, body: bytes) -> None:
         """Write status line, headers and body in a single ``sendall``.
@@ -86,7 +125,8 @@ class DaemonHandle:
     @property
     def url(self) -> str:
         """Base URL for client requests."""
-        return f"http://{self.address}"
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{int(port)}"
 
     def start(self):
         """Begin serving on the daemon thread; returns ``self``."""
@@ -113,3 +153,31 @@ class DaemonHandle:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def serve_until_stopped(handle: DaemonHandle, banner: str, farewell: str) -> None:
+    """Serve ``handle`` until SIGTERM or Ctrl-C, then stop it gracefully.
+
+    ``banner`` is printed once the daemon serves (supervisors wait for
+    the URL in it), and ``farewell`` with the reason, SIGTERM or
+    interrupt, before the handle's ``stop()`` runs.  Either way the
+    process exits normally, so an orchestrator's ordinary stop signal
+    drains, deregisters and closes like Ctrl-C does.
+    """
+    stop = threading.Event()
+    try:
+        previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    except ValueError:  # not the main thread: Ctrl-C is the only way out
+        previous = None
+    try:
+        with handle:
+            print(banner)
+            try:
+                stop.wait()
+                reason = "SIGTERM"
+            except KeyboardInterrupt:
+                reason = "interrupt"
+            print(f"{farewell} ({reason})")
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)

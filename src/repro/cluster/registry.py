@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import signal
 import socket
 import sys
 import threading
@@ -55,7 +54,12 @@ import time
 from collections.abc import Sequence
 
 from repro.cluster import wire
-from repro.cluster.daemon import DaemonHandle, DaemonHandler, DaemonServer
+from repro.cluster.daemon import (
+    DaemonHandle,
+    DaemonHandler,
+    DaemonServer,
+    serve_until_stopped,
+)
 from repro.errors import ClusterError
 from repro.telemetry import (
     MetricsRegistry,
@@ -266,10 +270,8 @@ class _RegistryHandler(DaemonHandler):
         return False
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length > 0 else b""
         try:
-            data = json.loads(raw or b"{}")
+            data = json.loads(self._read_body() or b"{}")
         except json.JSONDecodeError as exc:
             raise ClusterError(f"request body is not JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -569,21 +571,13 @@ def serve_registry_forever(
     log_level = log_level or os.environ.get("REPRO_LOG_LEVEL") or None
     if log_level:
         configure_logging(log_level)
-    stop = threading.Event()
-    try:
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    except ValueError:  # not the main thread (tests)
-        pass
-    with make_registry(host=host, port=port) as handle:
-        print(
-            f"Ranking Facts worker registry on {handle.url} "
-            "(Ctrl-C or SIGTERM to stop)"
-        )
-        try:
-            stop.wait()
-        except KeyboardInterrupt:
-            pass
-        print("registry shutting down")
+    handle = make_registry(host=host, port=port)
+    serve_until_stopped(
+        handle,
+        f"Ranking Facts worker registry on {handle.url} "
+        "(Ctrl-C or SIGTERM to stop)",
+        "registry shutting down",
+    )
 
 
 def add_registry_arguments(parser: argparse.ArgumentParser) -> None:

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 import threading
 import time
@@ -71,7 +70,12 @@ from collections.abc import Sequence
 from urllib.parse import parse_qs
 
 from repro.cluster import wire
-from repro.cluster.daemon import DaemonHandle, DaemonHandler, DaemonServer
+from repro.cluster.daemon import (
+    DaemonHandle,
+    DaemonHandler,
+    DaemonServer,
+    serve_until_stopped,
+)
 from repro.cluster.registry import DEFAULT_LEASE_TTL, HeartbeatLoop, RegistryClient
 from repro.engine.backends import resolve_trial_backend, run_trial_span
 from repro.errors import ClusterError
@@ -346,10 +350,8 @@ class _TrialWorkerHandler(DaemonHandler):
         if path != "/trials":
             self._send_json(404, {"error": f"unknown POST path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        data = self.rfile.read(length) if length > 0 else b""
         try:
-            response = self.worker.run_chunk(data)
+            response = self.worker.run_chunk(self._read_body())
         except ClusterError as exc:  # rejected frame: refuse, don't guess
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # the trial itself raised
@@ -482,27 +484,19 @@ def serve_worker_forever(
     log_level = log_level or os.environ.get("REPRO_LOG_LEVEL") or None
     if log_level:
         configure_logging(log_level)
-    stop = threading.Event()
-    previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        with make_worker(
-            host=host, port=port, backend=backend,
-            register_url=register, advertise=advertise,
-            heartbeat_ttl=heartbeat_ttl, profile=profile,
-        ) as handle:
-            registered = f", registered at {register}" if register else ""
-            print(
-                f"Ranking Facts trial worker on {handle.url} "
-                f"(backend {handle.worker.backend_requested}{registered}, "
-                "Ctrl-C to stop)"
-            )
-            try:
-                stop.wait()
-                print("worker draining (SIGTERM)")
-            except KeyboardInterrupt:
-                print("worker draining (interrupt)")
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    handle = make_worker(
+        host=host, port=port, backend=backend,
+        register_url=register, advertise=advertise,
+        heartbeat_ttl=heartbeat_ttl, profile=profile,
+    )
+    registered = f", registered at {register}" if register else ""
+    serve_until_stopped(
+        handle,
+        f"Ranking Facts trial worker on {handle.url} "
+        f"(backend {handle.worker.backend_requested}{registered}, "
+        "Ctrl-C to stop)",
+        "worker draining",
+    )
 
 
 def add_worker_arguments(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,12 @@
 """The coordinator's persistent per-worker connections.
 
-One ``WorkerClient`` keeps one HTTP/1.1 connection open across chunks
-(no per-chunk TCP handshake); a stale connection — the worker
-restarted, or closed an idle socket — is retried once on a fresh one
-and the re-open is counted, surfaced through ``executor.trial_cluster``
-stats as ``connection_reconnects``.
+One ``WorkerClient`` keeps one HTTP/1.1 connection open across health
+probes; a stale one — the worker restarted, or closed an idle socket —
+is retried once on a fresh one and the re-open is counted, surfaced
+through ``executor.trial_cluster`` stats as ``connection_reconnects``.
+Trial chunks do not ride that connection: they go over the per-worker
+pool of kept-alive stream sockets, so running chunks must leave the
+probe connection's reconnect count at zero.
 """
 
 from repro.cluster.coordinator import RemoteTrialBackend, WorkerClient

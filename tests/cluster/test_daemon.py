@@ -1,4 +1,4 @@
-"""The cluster daemons' shared HTTP skeleton: how responses reach the wire.
+"""The HTTP skeleton all three daemons share: server, worker, registry.
 
 Every worker and registry response must leave as one write on a
 ``TCP_NODELAY`` socket.  A head and a body sent as two small segments
@@ -6,23 +6,37 @@ with Nagle on wait for the client's delayed ACK, which stalls every
 request on a kept-alive connection by about 40 ms.  A client that drops
 the socket mid-response must end the connection quietly, not print a
 ``socketserver`` traceback.
+
+What the skeleton gives every daemon alike: a malformed request body
+length is a 400 with a JSON error, ``stop()`` severs idle kept-alive
+clients, and SIGTERM shuts a daemon process down as cleanly as Ctrl-C.
 """
 
 from __future__ import annotations
 
 import http.client
+import json
+import os
+import signal
 import socket
 import statistics
 import struct
+import subprocess
+import sys
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
+from repro.app.server import make_server
 from repro.cluster import wire
 from repro.cluster.registry import make_registry
 from repro.cluster.worker import make_worker
+from repro.telemetry import MetricsRegistry
 from tests.cluster.test_wire import square
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 #: the keep-alive bar: a delayed-ACK stall costs ~40 ms per request
 KEEPALIVE_P50_MS = 5.0
@@ -33,8 +47,17 @@ def _chunk_request(start: int, stop: int) -> bytes:
 
 
 def _connect(handle) -> http.client.HTTPConnection:
-    host, port = handle.address.rsplit(":", 1)
-    return http.client.HTTPConnection(host, int(port), timeout=10)
+    url = urlsplit(handle.url)
+    return http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+
+
+#: each daemon: a bound handle, its liveness route, and a POST route
+#: that reads a request body
+DAEMONS = {
+    "server": (lambda: make_server(metrics_registry=MetricsRegistry()), "/health", "/session"),
+    "worker": (lambda: make_worker(backend="serial"), "/healthz", "/trials"),
+    "registry": (make_registry, "/healthz", "/register"),
+}
 
 
 def _keepalive_p50_ms(handle, requests, n: int = 50) -> float:
@@ -244,3 +267,90 @@ class TestClientGoneMidResponse:
                 b"GET /workers HTTP/1.1\r\nHost: registry\r\n\r\n",
             )
         assert capsys.readouterr().err == ""
+
+
+class TestBadContentLength:
+    @pytest.mark.parametrize("daemon", sorted(DAEMONS))
+    def test_non_numeric_length_is_a_json_400(self, capsys, daemon):
+        factory, _, post_path = DAEMONS[daemon]
+        with factory() as handle:
+            url = urlsplit(handle.url)
+            with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+                sock.sendall(
+                    f"POST {post_path} HTTP/1.1\r\nHost: daemon\r\n".encode()
+                    + b"Content-Length: abc\r\n\r\n"
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert capsys.readouterr().err == ""
+
+
+class TestStopSeversIdleConnections:
+    @pytest.mark.parametrize("daemon", sorted(DAEMONS))
+    def test_idle_kept_alive_client_is_cut_off(self, capsys, daemon):
+        factory, health_path, _ = DAEMONS[daemon]
+        handle = factory().start()
+        connection = _connect(handle)
+        try:
+            connection.request("GET", health_path)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            started = time.perf_counter()
+            handle.stop()
+            assert time.perf_counter() - started < 5.0  # the stop's grace
+            with pytest.raises((OSError, http.client.HTTPException)):
+                connection.request("GET", health_path)
+                connection.getresponse().read()
+        finally:
+            connection.close()
+        time.sleep(0.1)  # let the severed handler thread wind down
+        assert capsys.readouterr().err == ""
+
+
+#: each daemon's command line, run as its own process on an ephemeral port
+DAEMON_COMMANDS = {
+    "server": [
+        "repro.app.cli", "serve", "--dataset", "cs-departments",
+        "--weight", "GRE=1.0", "--sensitive", "DeptSizeBin",
+        "--id-column", "DeptName", "--port", "0",
+    ],
+    "worker": ["repro.cluster.worker", "--port", "0", "--backend", "serial"],
+    "registry": ["repro.cluster.registry", "--port", "0"],
+}
+
+
+class TestSigterm:
+    @pytest.mark.parametrize("daemon", sorted(DAEMON_COMMANDS))
+    def test_sigterm_stops_the_daemon_and_exits_zero(self, daemon):
+        env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", *DAEMON_COMMANDS[daemon]],
+            cwd=REPO_ROOT, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "http://" in banner, banner + proc.stderr.read()
+            # an open kept-alive connection must not hold the exit up
+            url = urlsplit(banner[banner.index("http://"):].split()[0])
+            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+            connection.request("GET", DAEMONS[daemon][1])
+            assert connection.getresponse().read()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            connection.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "(SIGTERM)" in out
+        assert "Traceback" not in err
