@@ -17,6 +17,7 @@ import pytest
 from repro.datasets import cs_departments
 from repro.preprocess import NormalizationPlan, TablePreprocessor
 from repro.ranking import LinearScoringFunction, rank_table
+from tests.conftest import fresh_default_registry  # noqa: F401  (autouse)
 
 #: the Figure-1 configuration, shared by several benchmarks
 FIGURE1_WEIGHTS = {"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2}

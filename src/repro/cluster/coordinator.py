@@ -331,7 +331,7 @@ class _WorkerSlot:
 
     __slots__ = (
         "client", "alive", "last_error", "breaker",
-        "inflight", "chunks", "failures", "source", "retired",
+        "inflight", "source", "retired",
     )
 
     def __init__(
@@ -345,8 +345,6 @@ class _WorkerSlot:
         self.last_error: str | None = None
         self.breaker = breaker  # per-worker failure policy state
         self.inflight = 0
-        self.chunks = 0
-        self.failures = 0
         self.source = source  # "static" or "registry"
         self.retired = False  # registry says gone; drop when drained
 
@@ -492,11 +490,8 @@ class RemoteTrialBackend:
         self._runs = 0
         self._remote_runs = 0
         self._local_runs = 0
-        self._chunks_remote = 0
-        self._chunk_failures = 0
         self._chunks_failed_over = 0
         self._chunks_recovered_locally = 0
-        self._retries_spent = 0
         self._budget_exhausted_runs = 0
 
     def _make_slot(self, address: str, source: str) -> _WorkerSlot:
@@ -884,9 +879,7 @@ class RemoteTrialBackend:
                     self._release_slot(slot)
                     slot.alive = False
                     slot.last_error = str(error)
-                    slot.failures += 1
                     slot.breaker.record_failure()
-                    self._chunk_failures += 1
                 _log.warning(
                     "chunk [%d, %d) failed on %s (%s); failing over: %s",
                     task.start, task.stop, address,
@@ -917,9 +910,7 @@ class RemoteTrialBackend:
                 stream.close()
             with self._lock:
                 self._release_slot(slot)
-                slot.chunks += 1
                 slot.breaker.record_success()
-                self._chunks_remote += 1
                 run_state["remote"] += 1
                 if task.tried:
                     self._chunks_failed_over += 1
@@ -1017,7 +1008,6 @@ class RemoteTrialBackend:
                 self._remote_runs += 1
             else:
                 self._local_runs += 1
-            self._retries_spent += run_state["retries"]
             if run_state["budget_exhausted"]:
                 self._budget_exhausted_runs += 1
         results: list[Any] = []
@@ -1031,8 +1021,11 @@ class RemoteTrialBackend:
         """Dispatch/failover counters plus per-worker registry state.
 
         Merged into ``GET /engine/stats`` by
-        :meth:`repro.engine.executor.LabelExecutor.stats`.
+        :meth:`repro.engine.executor.LabelExecutor.stats`.  Chunk and
+        failure counts are the chunk histogram's ``ok`` and ``failed``
+        observations, and retries ``repro_cluster_retries_total``.
         """
+        chunks = self._chunk_seconds.count
         with self._lock:
             stats = merged_stats(
                 {
@@ -1041,11 +1034,11 @@ class RemoteTrialBackend:
                     "runs": self._runs,
                     "remote_runs": self._remote_runs,
                     "local_runs": self._local_runs,
-                    "chunks_remote": self._chunks_remote,
-                    "chunk_failures": self._chunk_failures,
+                    "chunks_remote": chunks(outcome="ok"),
+                    "chunk_failures": chunks(outcome="failed"),
                     "chunks_failed_over": self._chunks_failed_over,
                     "chunks_recovered_locally": self._chunks_recovered_locally,
-                    "retries_spent": self._retries_spent,
+                    "retries_spent": self._retries_counter.count(),
                     "budget_exhausted_runs": self._budget_exhausted_runs,
                     "retry_budget": self.policy.retry_budget,
                     "breakers_open": sum(
@@ -1062,8 +1055,8 @@ class RemoteTrialBackend:
                         "address": slot.client.address,
                         "alive": slot.alive,
                         "source": slot.source,
-                        "chunks": slot.chunks,
-                        "failures": slot.failures,
+                        "chunks": chunks(worker=slot.client.address, outcome="ok"),
+                        "failures": chunks(worker=slot.client.address, outcome="failed"),
                         "reconnects": slot.client.reconnects,
                         "last_error": slot.last_error,
                         "breaker": slot.breaker.view(),

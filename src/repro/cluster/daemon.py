@@ -54,6 +54,21 @@ class DaemonHandler(BaseHTTPRequestHandler):
         self.server.live_connections.add(self.request)
         super().setup()
 
+    def parse_request(self) -> bool:
+        self._body_unread = super().parse_request()  # until _read_body
+        return self._body_unread
+
+    def handle_one_request(self) -> None:
+        """Serve one request, then drain a body its route left unread (a
+        404 for an unknown POST path): it is not the next request."""
+        self._body_unread = False
+        super().handle_one_request()
+        if self._body_unread and not self.close_connection:
+            try:
+                self._read_body()
+            except (ClusterError, OSError):  # bad length, or a stalled client
+                self.close_connection = True
+
     def handle(self) -> None:
         """Serve the connection; one reset by the client or a stop ends quietly."""
         try:
@@ -76,6 +91,7 @@ class DaemonHandler(BaseHTTPRequestHandler):
         error.  The connection then closes: the unread body would
         otherwise be parsed as the next request.
         """
+        self._body_unread = False
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)

@@ -142,6 +142,7 @@ class WorkerRegistry:
         self._workers_gauge = self.metrics.gauge(
             "repro_registry_workers", "Live worker leases in the registry"
         )
+        # the one count of lease events; stats() reads it back
         self._events = self.metrics.counter(
             "repro_registry_events_total",
             "Registry lease events (register, heartbeat, expire, deregister)",
@@ -150,10 +151,6 @@ class WorkerRegistry:
         self._lock = threading.Lock()
         self._leases: dict[str, _Lease] = {}
         self._started = time.monotonic()
-        self._registrations = 0
-        self._heartbeats = 0
-        self._expirations = 0
-        self._deregistrations = 0
 
     def _prune(self, now: float) -> None:
         """Drop lapsed leases (caller holds the lock)."""
@@ -163,7 +160,6 @@ class WorkerRegistry:
             if lease.expired(now)
         ]:
             del self._leases[address]
-            self._expirations += 1
             self._events.inc(event="expire")
             _log.warning("lease expired: %s", address)
         self._workers_gauge.set(len(self._leases))
@@ -184,7 +180,6 @@ class WorkerRegistry:
             self._prune(now)
             known = address in self._leases
             self._leases[address] = lease
-            self._registrations += 1
             self._events.inc(event="register")
             self._workers_gauge.set(len(self._leases))
         _log.info(
@@ -204,7 +199,6 @@ class WorkerRegistry:
                 raise KeyError(address)
             lease.renewed_at = now
             lease.beats += 1
-            self._heartbeats += 1
             self._events.inc(event="heartbeat")
             return lease.view(now)
 
@@ -214,7 +208,6 @@ class WorkerRegistry:
         with self._lock:
             lease = self._leases.pop(address, None)
             if lease is not None:
-                self._deregistrations += 1
                 self._events.inc(event="deregister")
             self._workers_gauge.set(len(self._leases))
         if lease is not None:
@@ -232,17 +225,19 @@ class WorkerRegistry:
             return [lease.view(now) for lease in leases]
 
     def stats(self) -> dict[str, object]:
-        """Lease-event counters and the live worker count."""
+        """Lease-event counts (read from the registry) and live workers."""
         with self._lock:
             self._prune(time.monotonic())
-            return merged_stats({
-                "workers": len(self._leases),
-                "registrations": self._registrations,
-                "heartbeats": self._heartbeats,
-                "expirations": self._expirations,
-                "deregistrations": self._deregistrations,
-                "uptime_seconds": time.monotonic() - self._started,
-            })
+            workers = len(self._leases)
+        events = self._events.count
+        return merged_stats({
+            "workers": workers,
+            "registrations": events(event="register"),
+            "heartbeats": events(event="heartbeat"),
+            "expirations": events(event="expire"),
+            "deregistrations": events(event="deregister"),
+            "uptime_seconds": time.monotonic() - self._started,
+        })
 
 
 class _RegistryHandler(DaemonHandler):

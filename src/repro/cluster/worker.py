@@ -92,6 +92,7 @@ from repro.telemetry import (
     get_logger,
     merged_stats,
     span,
+    span_seconds,
 )
 
 _log = get_logger("cluster.worker")
@@ -152,10 +153,8 @@ class TrialWorker:
         self.span_backhaul = span_backhaul
         self._lock = threading.Lock()
         self._started = time.monotonic()
-        self._chunks = 0
         self._trials = 0
         self._rejected = 0
-        self._trial_errors = 0
         self._backhauled_spans = 0
         self._last_trace_id: str | None = None
         self._draining = False
@@ -202,8 +201,6 @@ class TrialWorker:
             ):
                 results = run_trial_span(self._backend, fn, payload, start, stop)
         except Exception as exc:
-            with self._lock:
-                self._trial_errors += 1
             _log.error(
                 "trial function raised in chunk [%d, %d): %s", start, stop, exc,
                 extra={"trace_id": trace_id},
@@ -216,7 +213,6 @@ class TrialWorker:
                 for entry in capture.spans[:MAX_BACKHAUL_SPANS]
             ]
         with self._lock:
-            self._chunks += 1
             self._trials += stop - start
             if spans:
                 self._backhauled_spans += len(spans)
@@ -255,13 +251,17 @@ class TrialWorker:
         }
 
     def stats(self) -> dict[str, object]:
-        """The ``/stats`` body: counters, uptime, last chunk's trace id."""
+        """The ``/stats`` body: counters, uptime, last chunk's trace id.
+
+        ``chunks``/``trial_errors`` count ``worker.chunk`` spans by status.
+        """
+        chunks = span_seconds(self.registry).count
         with self._lock:
             counters = {
-                "chunks": self._chunks,
+                "chunks": chunks(name="worker.chunk", status="ok"),
                 "trials": self._trials,
                 "rejected_frames": self._rejected,
-                "trial_errors": self._trial_errors,
+                "trial_errors": chunks(name="worker.chunk", status="error"),
                 "backhauled_spans": self._backhauled_spans,
                 "backend": self.backend_requested,
                 "backend_effective": self._backend.effective_name,

@@ -21,9 +21,10 @@ Three bounding mechanisms compose (any may be off):
 
 Two concurrency guarantees matter for the multi-session server:
 
-- All bookkeeping happens under one lock, so hit/miss/eviction/
-  expiration counts (and the byte total) are exact even under
-  concurrent load.
+- All bookkeeping happens under one lock, so eviction and expiration
+  counts (and the byte total) are exact even under concurrent load.
+  Hits and misses are not counted here: the service that owns the
+  cache counts each request once, by tier, in its metrics registry.
 - :meth:`get_or_build` is *single-flight*: when N threads ask for the
   same missing key at once, exactly one runs the build while the others
   wait for its result — a thundering herd of identical label requests
@@ -90,10 +91,8 @@ class _BuildSlot:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A point-in-time snapshot of cache effectiveness."""
+    """A point-in-time snapshot of the cache's occupancy and removals."""
 
-    hits: int
-    misses: int
     evictions: int
     size: int
     max_size: int
@@ -102,17 +101,9 @@ class CacheStats:
     expirations: int = 0
     ttl: float | None = None
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
     def as_dict(self) -> dict[str, float | int | None]:
-        """Plain-dict form for the ``/engine/stats`` endpoint."""
+        """Plain-dict form for the ``cache`` block of ``/engine/stats``."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
             "evictions": self.evictions,
             "size": self.size,
             "max_size": self.max_size,
@@ -120,7 +111,6 @@ class CacheStats:
             "max_bytes": self.max_bytes,
             "expirations": self.expirations,
             "ttl": self.ttl,
-            "hit_rate": self.hit_rate,
         }
 
 
@@ -139,7 +129,8 @@ class LabelCache:
         eviction victim).
     ttl:
         Optional time-to-live in seconds; an entry older than this is
-        dropped at lookup time and counted as an expiration + miss.
+        dropped at lookup time (counted as an expiration) and looks
+        like a missing key.
     clock:
         The time source (monotonic seconds); injectable for tests.
     """
@@ -165,8 +156,6 @@ class LabelCache:
         self._bytes = 0
         self._lock = threading.Lock()
         self._build_locks: dict[str, _BuildSlot] = {}
-        self._hits = 0
-        self._misses = 0
         self._evictions = 0
         self._expirations = 0
 
@@ -190,7 +179,7 @@ class LabelCache:
             self._bytes -= entry.size
 
     def _peek_locked(self, key: str) -> Any:
-        """Fetch + LRU-touch, expiring stale entries; no hit/miss count."""
+        """Fetch + LRU-touch, expiring stale entries."""
         entry = self._entries.get(key)
         if entry is not None and self._expired(entry):
             self._drop_locked(key)
@@ -200,15 +189,6 @@ class LabelCache:
             return _MISSING
         self._entries.move_to_end(key)
         return entry.value
-
-    def _lookup_locked(self, key: str) -> Any:
-        """:meth:`_peek_locked` plus the hit/miss bookkeeping."""
-        value = self._peek_locked(key)
-        if value is _MISSING:
-            self._misses += 1
-        else:
-            self._hits += 1
-        return value
 
     def _sweep_expired_locked(self) -> None:
         """Drop every TTL-expired entry (counted as expirations).
@@ -250,9 +230,9 @@ class LabelCache:
     # -- public API ------------------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
-        """Look up ``key``, counting a hit or miss (expired = miss)."""
+        """Look up ``key`` (an expired entry is dropped and not returned)."""
         with self._lock:
-            value = self._lookup_locked(key)
+            value = self._peek_locked(key)
             return default if value is _MISSING else value
 
     def put(self, key: str, value: Any) -> None:
@@ -275,7 +255,6 @@ class LabelCache:
         with self._lock:
             value = self._peek_locked(key)
             if value is not _MISSING:
-                self._hits += 1
                 return value, True
             slot = self._build_locks.setdefault(key, _BuildSlot())
             slot.waiters += 1
@@ -285,9 +264,7 @@ class LabelCache:
                 with self._lock:
                     value = self._peek_locked(key)
                     if value is not _MISSING:
-                        self._hits += 1
                         return value, True
-                    self._misses += 1
                 value = build()
                 with self._lock:
                     self._put_locked(key, value)
@@ -312,11 +289,9 @@ class LabelCache:
             self._bytes = 0
 
     def stats(self) -> CacheStats:
-        """A consistent snapshot of the counters."""
+        """A consistent snapshot of occupancy, bounds and removal counts."""
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
                 evictions=self._evictions,
                 size=len(self._entries),
                 max_size=self._max_size,

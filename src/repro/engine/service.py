@@ -17,7 +17,8 @@ session never did:
 - **batch execution** — many jobs submitted at once, tracked by batch
   id for async polling (:mod:`repro.engine.executor`);
 - **observability** — one ``stats()`` snapshot over cache, executor,
-  and build counters, served at ``GET /engine/stats``.
+  and request counts (read from the metrics registry), served at
+  ``GET /engine/stats``.
 
 Remote trial workers (:mod:`repro.cluster`) already land behind this
 facade — ``trial_backend="remote"`` — and future scaling work
@@ -164,10 +165,8 @@ class LabelService:
             trial_backend=trial_backend,
         )
         self._use_cache = use_cache
-        self._lock = threading.Lock()
-        self._builds = 0
-        self._requests = 0
         self._registry = get_default_registry()
+        # the one count of served labels; stats() derives from it
         self._tier_counter = self._registry.counter(
             "repro_label_requests_total",
             "Labels served, by tier (l1, l2, build)",
@@ -208,8 +207,6 @@ class LabelService:
         key = label_fingerprint(
             table, {"design": design.canonical_dict(), "dataset_name": dataset_name}
         )
-        with self._lock:
-            self._requests += 1
         with span("label.build", fingerprint=key[:12], dataset=dataset_name):
             outcome = self._serve_label(key, table, design, dataset_name, progress)
         self._tier_counter.inc(tier=outcome.tier)
@@ -248,8 +245,6 @@ class LabelService:
         start = time.perf_counter()
 
         def build() -> RankingFacts:
-            with self._lock:
-                self._builds += 1
             builder = design.builder_for(table, dataset_name=dataset_name)
             builder.with_trial_backend(self._executor.trial_backend())
             return builder.build(progress=self._widget_progress(progress))
@@ -532,18 +527,42 @@ class LabelService:
         return registries
 
     def stats(self) -> dict[str, object]:
-        """One JSON-safe snapshot across cache, executor, and service."""
-        with self._lock:
-            service = {
-                "requests": self._requests,
-                "builds": self._builds,
-                "cache_enabled": self._use_cache,
-            }
+        """One JSON-safe snapshot across cache, executor, and service.
+
+        Request counts are ``repro_label_requests_total``'s, so per
+        registry (process); a build that raises serves no label and
+        counts nowhere.  An L2 hit is promoted into L1 by the same call,
+        and a build is an L2 miss written through to the store.
+        """
+        l1, l2, built = (
+            self._tier_counter.count(tier=tier) for tier in ("l1", "l2", "build")
+        )
+        hits, misses = (l1, l2 + built) if self._use_cache else (0, 0)
+        cache = {
+            "hits": hits,
+            "misses": misses,
+            **self._cache.stats().as_dict(),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
+        tiers = None if self._tiers is None else {
+            "l1_hits": l1,
+            "l1_misses": l2 + built,
+            "l2_hits": l2,
+            "l2_misses": built,
+            "promotions": l2,
+            "builds": built,
+            "writes": built,
+        }
+        service = {
+            "requests": l1 + l2 + built,
+            "builds": built,
+            "cache_enabled": self._use_cache,
+        }
         return merged_stats(
             {"service": service},
-            cache=self._cache.stats().as_dict,
+            cache=cache,
             executor=self._executor.stats,
-            tiers=self._tiers.stats if self._tiers is not None else None,
+            tiers=tiers,
             store=self._store.stats if self._store is not None else None,
         )
 

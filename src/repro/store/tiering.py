@@ -16,13 +16,13 @@ memory, microseconds) with a :class:`~repro.store.store.LabelStore`
 
 The lookup happens *inside* the L1 build slot, so a thundering herd on
 a cold key performs exactly one L2 read and one store write, never N.
-Three counters (L1 hits, L2 hits, builds) yield every tier-transition
-figure ``GET /engine/stats`` reports.
+Each call returns the tier that served it; the label service counts
+that tier once, in ``repro_label_requests_total``, and derives every
+tier-transition figure ``GET /engine/stats`` reports from it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 from typing import Any
 
@@ -38,19 +38,13 @@ class TieredLabelCache:
     """L1 (:class:`LabelCache`) over L2 (:class:`LabelStore`).
 
     The tiers stay independently usable: the L1 cache keeps its own
-    stats/bounds, the store keeps its own GC — this class only owns
-    the routing and the transition counters.
+    bounds, the store keeps its own GC — this class only owns the
+    routing.
     """
 
     def __init__(self, l1: LabelCache, l2: LabelStore):
         self._l1 = l1
         self._l2 = l2
-        self._lock = threading.Lock()
-        # the three independent numbers; every other tier counter is
-        # derived from them in stats()
-        self._l1_hits = 0
-        self._l2_hits = 0
-        self._builds = 0
 
     @property
     def l1(self) -> LabelCache:
@@ -93,31 +87,4 @@ class TieredLabelCache:
             tier = "l1" if l1_cached else state["tier"]
             # the decision this span exists to record: which tier served
             tier_span.tags["tier"] = tier
-        with self._lock:
-            if tier == "l1":
-                self._l1_hits += 1
-            elif tier == "l2":
-                self._l2_hits += 1
-            else:
-                self._builds += 1
         return value, tier
-
-    def stats(self) -> dict[str, int]:
-        """Tier-transition counters (merged into ``/engine/stats``).
-
-        An L2 hit is promoted into L1 by the same call, and a build is
-        an L2 miss written through to the store, so ``promotions``,
-        ``l2_misses``, ``writes`` and ``l1_misses`` follow from the
-        three counted numbers.
-        """
-        with self._lock:
-            l1_hits, l2_hits, builds = self._l1_hits, self._l2_hits, self._builds
-        return {
-            "l1_hits": l1_hits,
-            "l1_misses": l2_hits + builds,
-            "l2_hits": l2_hits,
-            "l2_misses": builds,
-            "promotions": l2_hits,
-            "builds": builds,
-            "writes": builds,
-        }

@@ -82,6 +82,7 @@ from repro.telemetry.tracing import (
     new_span_id,
     new_trace_id,
     span,
+    span_seconds,
 )
 
 __all__ = [
@@ -128,4 +129,5 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "span",
+    "span_seconds",
 ]

@@ -21,12 +21,12 @@ The design goals, in order:
   kind/tag mismatch, which is always a bug.
 
 One process-wide default registry (:func:`get_default_registry`) is
-what the HTTP server, the engine, and the cluster coordinator write to
+what the HTTP server, the engine, and the cluster daemons write to
 unless handed an explicit registry (tests isolate themselves by
-constructing their own).  :func:`merged_stats` is the single
-stats-assembly helper that replaced the hand-rolled dict merges in
-``LabelExecutor.stats()``, ``LabelService.stats()``, and the cluster
-worker.
+constructing their own, or by installing a fresh default).  Stats
+snapshots read their counts back with ``count()``, so an event is
+counted once, per registry.  :func:`merged_stats` assembles a
+``stats()`` dict from flat keys and sections.
 """
 
 from __future__ import annotations
@@ -111,6 +111,20 @@ class _MetricFamily:
 
     def _declaration(self) -> tuple:
         return (self.kind, self.tag_names)
+
+    def count(self, **tags: object) -> int:
+        """Events in every series whose tags include ``tags`` (a subset of
+        the declared names): a counter's total, a histogram's observations."""
+        if not set(tags) <= set(self.tag_names):
+            raise TelemetryError(f"metric {self.name} has no tags {sorted(tags)}")
+        wanted = {(name, str(value)) for name, value in tags.items()}
+        total = 0.0
+        for key, cell in self.series():
+            if wanted.issubset(key):
+                with self._lock_for(key):
+                    hist = isinstance(cell, _HistogramCell)
+                    total += cell.count if hist else cell.value
+        return int(total)
 
 
 class _Cell:
@@ -342,16 +356,15 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 def merged_stats(base: "Mapping | Callable[[], Mapping] | None" = None,
                  /, **sections) -> dict[str, object]:
-    """Assemble a stats snapshot from flat counters plus named sections.
+    """Assemble a stats snapshot from flat keys plus named sections.
 
-    The one helper behind every ``stats()`` in the codebase —
-    ``LabelExecutor``, ``LabelService``, ``RemoteTrialBackend``,
-    ``TrialWorker`` — replacing their hand-rolled dict merges.  ``base``
-    (a mapping or a zero-arg callable) provides the flat keys; each
-    keyword is a nested section.  ``None`` sources (and sources that
-    resolve to ``None``) are skipped, so optional sections like a
-    missing store or a backend without cluster stats simply don't
-    appear, exactly as before.
+    The one dict-assembly helper behind every ``stats()``; it only
+    shapes the snapshot, whose counts each component reads from its
+    own ints or its registry families.  ``base`` (a mapping or a
+    zero-arg callable) provides the flat keys; each keyword is a nested
+    section.  ``None`` sources (and sources that resolve to ``None``)
+    are skipped, so optional sections like a missing store or a backend
+    without cluster stats simply don't appear.
     """
     snapshot: dict[str, object] = dict(base() if callable(base) else (base or {}))
     for name, source in sections.items():

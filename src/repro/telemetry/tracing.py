@@ -38,6 +38,7 @@ from contextvars import ContextVar
 
 from repro.telemetry.profiling import note_span_enter, note_span_exit
 from repro.telemetry.registry import (
+    Histogram,
     MetricsRegistry,
     get_default_registry,
     set_exemplar_source,
@@ -57,6 +58,7 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "span",
+    "span_seconds",
 ]
 
 #: trace ids are 16 random bytes, hex-encoded (the wire frame's width)
@@ -305,10 +307,17 @@ def span(
         note_span_exit()
         _current_span.reset(token)
         (buffer if buffer is not None else _default_buffer).record(entry)
-        target = registry if registry is not None else get_default_registry()
-        target.histogram(
-            "repro_span_seconds",
-            "Duration of instrumented operations (spans), by name and outcome",
-            tag_names=("name", "status"),
-            buckets=_SPAN_BUCKETS,
-        ).observe(entry.duration, name=name, status=entry.status)
+        span_seconds(registry).observe(
+            entry.duration, name=name, status=entry.status
+        )
+
+
+def span_seconds(registry: MetricsRegistry | None = None) -> Histogram:
+    """The ``repro_span_seconds`` family every span observes into."""
+    target = registry if registry is not None else get_default_registry()
+    return target.histogram(
+        "repro_span_seconds",
+        "Duration of instrumented operations (spans), by name and outcome",
+        tag_names=("name", "status"),
+        buckets=_SPAN_BUCKETS,
+    )

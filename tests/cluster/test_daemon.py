@@ -288,6 +288,28 @@ class TestBadContentLength:
         assert capsys.readouterr().err == ""
 
 
+class TestUnreadBodyOn404:
+    @pytest.mark.parametrize("daemon", sorted(DAEMONS))
+    def test_next_request_on_the_connection_is_served(self, daemon):
+        """A POST answered without reading its body must not poison
+        the kept-alive connection: the body is not the next request."""
+        factory, health_path, _ = DAEMONS[daemon]
+        with factory() as handle:
+            connection = _connect(handle)
+            try:
+                connection.request("POST", "/nope", body=b'{"x": 1}')
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 404
+                connection.request("GET", health_path)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.getheader("Content-Type").startswith("application/json")
+                assert json.loads(response.read())["status"] == "ok"
+            finally:
+                connection.close()
+
+
 class TestStopSeversIdleConnections:
     @pytest.mark.parametrize("daemon", sorted(DAEMONS))
     def test_idle_kept_alive_client_is_cut_off(self, capsys, daemon):

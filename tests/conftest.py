@@ -9,6 +9,23 @@ from repro.datasets import cs_departments
 from repro.preprocess import NormalizationPlan, TablePreprocessor
 from repro.ranking import LinearScoringFunction, rank_table
 from repro.tabular import Table
+from repro.telemetry import MetricsRegistry, set_default_registry
+
+
+@pytest.fixture(autouse=True)
+def fresh_default_registry():
+    """A fresh process-wide metrics registry for every test.
+
+    Components count their events in the default registry and derive
+    their ``stats()`` from it, so without this a test would see the
+    counts every earlier test left behind.  A fixture with a wider
+    scope is set up before this one and keeps the registry it found.
+    """
+    previous = set_default_registry(MetricsRegistry())
+    try:
+        yield
+    finally:
+        set_default_registry(previous)
 
 
 @pytest.fixture()

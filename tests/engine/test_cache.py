@@ -15,8 +15,6 @@ class TestBasics:
         assert cache.get("k") is None
         cache.put("k", "v")
         assert cache.get("k") == "v"
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
 
     def test_contains_and_len(self):
         cache = LabelCache(max_size=2)
@@ -67,8 +65,6 @@ class TestGetOrBuild:
         value, cached = cache.get_or_build("k", lambda: calls.append(1) or "v")
         assert (value, cached) == ("v", True)
         assert len(calls) == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
 
     def test_failed_build_leaves_key_absent_and_retries(self):
         cache = LabelCache(max_size=4)
@@ -179,19 +175,13 @@ class TestGetOrBuild:
 
 
 class TestStats:
-    def test_hit_rate(self):
-        cache = LabelCache(max_size=2)
-        assert cache.stats().hit_rate == 0.0
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("zz")
-        assert cache.stats().hit_rate == pytest.approx(0.5)
-
     def test_as_dict_keys(self):
+        # hits, misses and hit_rate are the service's: it counts each
+        # request once, by tier (tests/engine/test_service.py)
         d = LabelCache(max_size=2).stats().as_dict()
         assert set(d) == {
-            "hits", "misses", "evictions", "size", "max_size", "hit_rate",
-            "bytes", "max_bytes", "expirations", "ttl",
+            "evictions", "size", "max_size", "bytes", "max_bytes",
+            "expirations", "ttl",
         }
 
 
@@ -269,7 +259,6 @@ class TestTimeToLive:
         assert cache.get("a") is None
         stats = cache.stats()
         assert stats.expirations == 1
-        assert stats.misses == 1
         assert stats.evictions == 0  # expiry is not an LRU eviction
         assert len(cache) == 0
 

@@ -20,7 +20,7 @@ from repro.engine import (
     LabelJob,
     LabelService,
 )
-from repro.errors import EngineError
+from repro.errors import EngineError, RankingFactsError
 from repro.label.render_json import render_json
 
 WEIGHTS = {"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2}
@@ -263,3 +263,41 @@ class TestStats:
         assert stats["service"]["requests"] == 1
         assert stats["cache"]["max_size"] == 8
         assert stats["executor"]["max_workers"] >= 1
+
+    def test_cache_hit_rate(self, service, cs_table):
+        assert service.stats()["cache"]["hit_rate"] == 0.0
+        service.build_label(cs_table, design(), "cs")
+        service.build_label(cs_table, design(), "cs")
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 1)
+        assert cache["hit_rate"] == pytest.approx(0.5)
+
+    def test_cache_block_keys(self, service):
+        assert set(service.stats()["cache"]) == {
+            "hits", "misses", "evictions", "size", "max_size", "hit_rate",
+            "bytes", "max_bytes", "expirations", "ttl",
+        }
+
+    def test_cache_disabled_counts_no_cache_lookups(self, cs_table):
+        with LabelService(use_cache=False) as svc:
+            svc.build_label(cs_table, design(), "cs")
+            stats = svc.stats()
+            assert stats["service"] == {
+                "requests": 1, "builds": 1, "cache_enabled": False,
+            }
+            assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (0, 0)
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+    def test_failed_build_counts_nowhere(self, tmp_path, cs_table, stored):
+        """A build that raises serves no label, so no tier counts it."""
+        store = {"store_path": str(tmp_path / "labels.db")} if stored else {}
+        with LabelService(**store) as svc:
+            svc.build_label(cs_table, design(), "cs")
+            before = svc.stats()
+            broken = design(weights={"NoSuchColumn": 1.0})
+            with pytest.raises(RankingFactsError):
+                svc.build_label(cs_table, broken, "cs")
+            after = svc.stats()
+        assert after["service"] == before["service"]
+        assert after.get("tiers") == before.get("tiers")
+        assert after["cache"]["misses"] == before["cache"]["misses"] == 1

@@ -1,4 +1,8 @@
-"""Tests for repro.store.tiering: the L1-over-L2 routing and counters."""
+"""Tests for repro.store.tiering: the L1-over-L2 routing.
+
+The tier each call returns is what the label service counts; the
+store's own ``puts``/``gets`` show what reached disk.
+"""
 
 import threading
 
@@ -19,10 +23,7 @@ class TestTierRouting:
         assert (value, tier) == ("built", "build")
         value, tier = tiers.get_or_build("k", lambda: ("never", None))
         assert (value, tier) == ("built", "l1")
-        stats = tiers.stats()
-        assert stats["l1_hits"] == 1
-        assert stats["builds"] == 1
-        assert stats["writes"] == 1
+        assert tiers.l2.stats()["puts"] == 1  # the build was written through
         tiers.l2.close()
 
     def test_l2_hit_promotes_into_l1(self, tmp_path):
@@ -37,10 +38,8 @@ class TestTierRouting:
         # promotion happened: the next lookup is pure memory
         value, tier = fresh.get_or_build("k", lambda: ("never built", None))
         assert (value, tier) == ("durable", "l1")
-        stats = fresh.stats()
-        assert stats["l2_hits"] == 1
-        assert stats["promotions"] == 1
-        assert stats["builds"] == 0
+        assert "k" in fresh.l1
+        assert fresh.l2.stats()["puts"] == 0  # nothing was rebuilt
         fresh.l2.close()
 
     def test_build_writes_through_to_both_tiers(self, tmp_path):
@@ -52,9 +51,8 @@ class TestTierRouting:
 
     def test_distinct_keys_are_distinct_entries(self, tmp_path):
         tiers = make_tiers(tmp_path)
-        tiers.get_or_build("a", lambda: (1, None))
-        tiers.get_or_build("b", lambda: (2, None))
-        assert tiers.stats()["builds"] == 2
+        assert tiers.get_or_build("a", lambda: (1, None)) == (1, "build")
+        assert tiers.get_or_build("b", lambda: (2, None)) == (2, "build")
         assert len(tiers.l2) == 2
         tiers.l2.close()
 
@@ -83,10 +81,8 @@ class TestSingleFlight:
         assert len(builds) == 1
         assert {value for value, _ in results} == {"value"}
         # exactly one thread saw the build; the waiters were L1 hits
-        tiers_stats = tiers.stats()
-        assert tiers_stats["builds"] == 1
-        assert tiers_stats["writes"] == 1
-        assert tiers_stats["l1_hits"] == 7
+        assert sorted(tier for _, tier in results) == ["build"] + ["l1"] * 7
         # only the building thread touched the store at all
+        assert tiers.l2.stats()["puts"] == 1
         assert tiers.l2.stats()["gets"] == 1
         tiers.l2.close()

@@ -113,6 +113,39 @@ class TestHistogram:
             registry.histogram("lat", "lat", buckets=(1.0, 0.1))
 
 
+class TestCount:
+    """``count()``: the events a family holds, summed over matching series."""
+
+    def test_counter_sums_the_series_a_tag_subset_selects(self):
+        counter = MetricsRegistry().counter(
+            "events_total", tag_names=("kind", "where")
+        )
+        counter.inc(kind="a", where="x")
+        counter.inc(2, kind="a", where="y")
+        counter.inc(kind="b", where="x")
+        assert counter.count() == 4
+        assert counter.count(kind="a") == 3
+        assert counter.count(kind="a", where="y") == 2
+        assert counter.count(kind="never") == 0
+        assert type(counter.count()) is int
+
+    def test_histogram_counts_observations_not_their_sum(self):
+        histogram = MetricsRegistry().histogram(
+            "work_seconds", tag_names=("outcome",)
+        )
+        for value in (0.5, 2.0, 7.0):
+            histogram.observe(value, outcome="ok")
+        histogram.observe(0.1, outcome="failed")
+        assert histogram.count(outcome="ok") == 3
+        assert histogram.count() == 4
+        assert histogram.count(outcome="timeout") == 0
+
+    def test_an_undeclared_tag_is_rejected(self):
+        counter = MetricsRegistry().counter("events_total", tag_names=("kind",))
+        with pytest.raises(TelemetryError, match="no tags"):
+            counter.count(knid="a")
+
+
 class TestRegistry:
     def test_get_or_register_is_idempotent(self):
         registry = MetricsRegistry()
