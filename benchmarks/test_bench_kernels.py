@@ -13,6 +13,12 @@ criteria:
 - byte-identical outcomes against the serial scalar path, and
 - >= 5x speedup over serial for the 50-trial perturbation profile
   (in practice the kernels land one to two orders of magnitude ahead).
+
+Two cold-build rows ride along, each asserting equality with the plain
+version it replaced and reporting the time without a bound: a first
+(uncached) FA*IR ``adjust_alpha`` call against a bisection over
+``compute_fail_probability``, and the vectorised ``rankdata_average``
+against its old tie loop.
 """
 
 import time
@@ -26,6 +32,7 @@ from repro import _native
 from repro.datasets import synthetic_scores_table
 from repro.engine import LabelDesign, LabelService
 from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
+from repro.fairness.fair_star.adjustment import adjust_alpha
 from repro.label.render_json import render_json
 from repro.ranking.compare import _count_inversions_numpy, count_inversions_batch
 from repro.ranking.scoring import LinearScoringFunction
@@ -35,6 +42,8 @@ from repro.stability import (
     per_attribute_stability,
 )
 from repro.stability.kernels import _movement_outcomes
+from repro.stats.correlation import rankdata_average
+from tests.oracles import rankdata_tie_loop, reference_adjust_alpha
 
 WEIGHTS = {"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2}
 PROFILE_EPSILONS = [0.05, 0.1, 0.2]
@@ -225,3 +234,35 @@ def test_bench_b2_fused_vs_numpy_movement():
             f"fused {fused_s * 1000:6.1f} ms   ({numpy_s / fused_s:4.1f}x)"
         )
     report("B2: _movement_outcomes, fused native vs numpy (jittered tied scores)", rows)
+
+
+def test_bench_cold_adjust_alpha_vs_reference_bisection():
+    """A first FA*IR adjust_alpha call: CDF memo vs plain bisection."""
+    rows = []
+    for p in (0.31, 0.5, 0.69):
+        # the function under the process-wide memo, so every call is cold
+        memoised, memo_s = timed(lambda: adjust_alpha.__wrapped__(100, p, 0.05))
+        oracle, plain_s = timed(lambda: reference_adjust_alpha(100, p, 0.05))
+        assert memoised == oracle
+        rows.append(
+            f"k=100 p={p:<4} bisection {plain_s * 1000:7.1f} ms   "
+            f"memoised {memo_s * 1000:6.1f} ms   ({plain_s / memo_s:4.1f}x)"
+        )
+    report("cold build: first adjust_alpha call, CDF memo vs plain bisection", rows)
+
+
+def test_bench_cold_rankdata_vs_tie_loop():
+    """Average ranks: run boundaries vs the Python tie loop."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for n in (1000, 20000):
+        values = rng.integers(0, n // 10, n).astype(np.float64)  # ties
+        values[rng.integers(0, n, n // 50)] = np.nan
+        fast, fast_s = timed(lambda: rankdata_average(values))
+        oracle, loop_s = timed(lambda: rankdata_tie_loop(values))
+        assert np.array_equal(fast.view(np.uint64), oracle.view(np.uint64))
+        rows.append(
+            f"n={n:<5} tie loop {loop_s * 1000:7.1f} ms   "
+            f"vectorised {fast_s * 1000:6.1f} ms   ({loop_s / fast_s:4.1f}x)"
+        )
+    report("cold build: rankdata_average, run boundaries vs tie loop", rows)

@@ -11,16 +11,37 @@ target ``alpha``.
 probability exactly with a dynamic program over prefix states, and
 :func:`adjust_alpha` inverts it by bisection.  The A2 benchmark
 measures the realized type-I error with and without this correction.
+
+``alpha_c`` depends on ``(k, p, alpha)`` only, and none of them on a
+scoring design's weights: ``p`` is the protected group's share of the
+whole table and ``k`` and ``alpha`` are fixed by the design.  So
+:func:`adjust_alpha` keeps two memos, neither of which changes a float:
+
+- within one call, ``F(t; i, p)`` per ``(t, i)``, shared by the
+  bisection's ~23 mtables (``F`` does not depend on the level tried);
+- across calls, the result itself, process-wide and bounded
+  (:data:`ADJUST_ALPHA_CACHE_SIZE` entries), so re-weighting a ranking
+  of the same table does not redo the search.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import FairnessConfigError
-from repro.fairness.fair_star.mtable import minimum_protected_table
+from repro.fairness.fair_star.mtable import (
+    _table_from_cdf,
+    _validate,
+    minimum_protected_table,
+)
+from repro.stats.distributions import binom_cdf
 
 __all__ = ["fail_probability_of_mtable", "compute_fail_probability", "adjust_alpha"]
+
+#: Results :func:`adjust_alpha` keeps, least recently used evicted first
+ADJUST_ALPHA_CACHE_SIZE = 1024
 
 
 def fail_probability_of_mtable(mtable: np.ndarray, p: float) -> float:
@@ -64,6 +85,7 @@ def compute_fail_probability(k: int, p: float, alpha: float) -> float:
     return fail_probability_of_mtable(mtable, p)
 
 
+@functools.lru_cache(maxsize=ADJUST_ALPHA_CACHE_SIZE)
 def adjust_alpha(
     k: int,
     p: float,
@@ -87,10 +109,20 @@ def adjust_alpha(
         Bisection interval width at which to stop.
     max_iterations:
         Hard cap on bisection steps (64 is far beyond float precision).
+
+    Every step evaluates what :func:`compute_fail_probability` would,
+    reading ``F(t; i, p)`` from a memo filled on first use.  Results are
+    cached (a raised error is not), so the arguments must be hashable.
     """
     if not 0.0 < alpha < 1.0:
         raise FairnessConfigError(f"alpha must be inside (0, 1), got {alpha}")
-    if compute_fail_probability(k, p, alpha) <= alpha:
+    _validate(k, p, alpha)
+    cdf = functools.cache(lambda t, i: binom_cdf(t, i, p))
+
+    def fail_probability(level: float) -> float:
+        return fail_probability_of_mtable(_table_from_cdf(k, level, cdf), p)
+
+    if fail_probability(alpha) <= alpha:
         # no correction needed (small k / extreme p can be under-powered)
         return alpha
     lo, hi = 0.0, alpha  # fail prob at lo=0 is 0 (mtable all zeros)
@@ -100,7 +132,7 @@ def adjust_alpha(
         mid = (lo + hi) / 2.0
         if mid == 0.0:
             break
-        if compute_fail_probability(k, p, mid) <= alpha:
+        if fail_probability(mid) <= alpha:
             lo = mid
         else:
             hi = mid

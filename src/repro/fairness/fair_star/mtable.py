@@ -7,9 +7,18 @@ CDF ``F(t; i, p)`` exceeds ``alpha`` — i.e. ``t`` is not in the lower
 ``m(i)`` is the smallest passing ``t`` for each ``i`` from 1 to k; a
 ranking satisfies *ranked group fairness* when every prefix count
 reaches its mtable entry.
+
+:func:`minimum_protected_table` and the bisection in
+:func:`~repro.fairness.fair_star.adjustment.adjust_alpha` build their
+tables through one loop, :func:`_table_from_cdf`, which reads ``F``
+through a lookup.  Here the lookup calls ``binom_cdf`` directly; the
+bisection passes a memo of ``F(t; i, p)`` per ``(t, i)``, since ``F``
+does not depend on ``alpha`` and its ~23 steps revisit the same cells.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -52,11 +61,21 @@ def minimum_protected_table(k: int, p: float, alpha: float) -> np.ndarray:
     previous one ended instead of from zero.
     """
     _validate(k, p, alpha)
+    return _table_from_cdf(k, alpha, lambda t, i: binom_cdf(t, i, p))
+
+
+def _table_from_cdf(
+    k: int, alpha: float, cdf: Callable[[int, int], float]
+) -> np.ndarray:
+    """The mtable loop over a CDF lookup ``cdf(t, i) = F(t; i, p)``.
+
+    The caller validates ``k``, ``p`` and ``alpha``.
+    """
     table = np.zeros(k, dtype=np.int64)
     current = 0
     for i in range(1, k + 1):
         # m(i) >= m(i-1): a longer prefix never needs fewer protected items
-        while binom_cdf(current, i, p) <= alpha:
+        while cdf(current, i) <= alpha:
             current += 1
         table[i - 1] = current
     return table

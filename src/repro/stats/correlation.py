@@ -52,20 +52,31 @@ def pearson_r(
 
 
 def rankdata_average(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """1-based ranks with ties broken by averaging (scipy's 'average')."""
+    """1-based ranks with ties broken by averaging (scipy's 'average').
+
+    Ties are runs of equal values in the stably sorted array: a run
+    starts wherever a value differs from its predecessor, and since
+    ``NaN != NaN`` every NaN is a run of its own (NaNs sort last, so
+    they take the top ranks in input order).  A run over sorted
+    positions ``i..j`` gives each member ``(i + j) / 2 + 1``, which
+    ``np.repeat`` spreads over the run before scattering back through
+    the sort order.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"rankdata expects a 1-d sequence, got shape {arr.shape}")
+    n = arr.size
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        ranks[order[i: j + 1]] = avg_rank
-        i = j + 1
+    ordered = arr[order]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -216,6 +216,16 @@ class CategoricalColumn(Column):
             )
         super().__init__(name, arr)
 
+    def _with_values(self, values: np.ndarray) -> "CategoricalColumn":
+        """Wrap ``values``, gathered from this column, without re-cleaning.
+
+        ``take``, ``head`` and slicing only reorder or subset an array
+        the constructor already cleaned, so every entry is a ``str``.
+        """
+        column = object.__new__(type(self))
+        Column.__init__(column, self._name, values)
+        return column
+
     def as_categorical(self) -> "CategoricalColumn":
         return self
 

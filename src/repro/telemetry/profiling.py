@@ -384,7 +384,10 @@ class SamplingProfiler:
 
     The thread exists only while a sink is attached; it samples at the
     fastest attached rate and exits when the last sink detaches, so an
-    idle profiler costs nothing.  ``window()`` is a blocking capture
+    idle profiler costs nothing.  Detaching the last sink retires the
+    thread under the lock and joins it outside, so no sampler thread
+    outlives the call that stopped it; a sink attached meanwhile gets a
+    new thread.  ``window()`` is a blocking capture
     (attach, sleep, detach, report); ``start_continuous()`` attaches a
     long-lived low-rate sink whose live snapshot ``continuous_report()``
     serves.  All sink state is guarded by one lock — sampling ticks are
@@ -414,40 +417,63 @@ class SamplingProfiler:
 
     def _ensure_thread_locked(self) -> None:
         if self._thread is None:
+            self._wake = threading.Event()
             self._thread = threading.Thread(
-                target=self._run, name="repro-profiler", daemon=True
+                target=self._run, args=(self._wake,), name="repro-profiler",
+                daemon=True,
             )
             self._thread_starts += 1
             self._thread.start()
+        else:
+            self._wake.set()  # re-evaluate rate now, not after the old interval
+
+    def _retire_thread_locked(self) -> tuple[threading.Thread, threading.Event] | None:
+        """With no sink left, detach the sampler thread for the caller to join."""
+        if self._sinks or self._thread is None:
+            return None
+        retired = (self._thread, self._wake)
+        self._thread = None
+        return retired
+
+    @staticmethod
+    def _join_retired(
+        retired: tuple[threading.Thread, threading.Event] | None,
+    ) -> None:
+        """Wake a retired sampler thread and wait for it (outside the lock)."""
+        if retired is None:
+            return
+        thread, wake = retired
+        wake.set()
+        thread.join()
 
     def _attach(self, sink: _ProfileSink) -> None:
         with self._lock:
             self._sinks.append(sink)
             self._ensure_thread_locked()
-        self._wake.set()  # re-evaluate rate now, not after the old interval
 
     def _detach(self, sink: _ProfileSink) -> None:
         with self._lock:
             if sink in self._sinks:
                 self._sinks.remove(sink)
-        self._wake.set()
+            retired = self._retire_thread_locked()
+        self._join_retired(retired)
 
-    def _run(self) -> None:
+    def _run(self, wake: threading.Event) -> None:
+        me = threading.current_thread()
         own = threading.get_ident()
         while True:
             with self._lock:
-                if not self._sinks:
-                    self._thread = None
-                    return
+                if self._thread is not me:
+                    return  # retired: the last sink detached
                 hz = max(sink.hz for sink in self._sinks)
             interval = 1.0 / max(0.1, min(float(hz), MAX_HZ))
-            if self._wake.wait(interval):
-                self._wake.clear()
+            if wake.wait(interval):
+                wake.clear()
                 continue  # sink set or rate changed; don't sample this tick
             frames = sys._current_frames()
             try:
                 with self._lock:
-                    if not self._sinks:
+                    if self._thread is not me:
                         continue
                     self._ticks += 1
                     for tid, frame in frames.items():
@@ -493,11 +519,14 @@ class SamplingProfiler:
             self._continuous = sink
             self._sinks.append(sink)
             self._ensure_thread_locked()
-        self._wake.set()
         return True
 
     def stop_continuous(self) -> ProfileReport | None:
-        """Detach the continuous sink; its final report (idempotent)."""
+        """Detach the continuous sink; its final report (idempotent).
+
+        When it was the last sink, the sampler thread has exited by the
+        time this returns.
+        """
         with self._lock:
             sink = self._continuous
             if sink is None:
@@ -506,7 +535,8 @@ class SamplingProfiler:
             if sink in self._sinks:
                 self._sinks.remove(sink)
             report = self._report_locked(sink)
-        self._wake.set()
+            retired = self._retire_thread_locked()
+        self._join_retired(retired)
         return report
 
     def rotate_continuous(self) -> ProfileReport | None:

@@ -14,12 +14,16 @@ from repro.fairness import (
     generate_ranking_labels,
     minimum_protected_table,
 )
-from repro.fairness.fair_star.adjustment import fail_probability_of_mtable
+from repro.fairness.fair_star.adjustment import (
+    ADJUST_ALPHA_CACHE_SIZE,
+    fail_probability_of_mtable,
+)
 from repro.fairness.fair_star.mtable import required_at
 from repro.fairness.fair_star.rerank import rerank_labels
 from repro.fairness.fair_star.verifier import FairStarMeasure, audit_prefixes
 from repro.stats.distributions import binom_cdf
 from tests.fairness.test_base import group_of
+from tests.oracles import reference_adjust_alpha
 
 
 class TestMTable:
@@ -127,6 +131,31 @@ class TestAdjustAlpha:
     def test_validation(self):
         with pytest.raises(FairnessConfigError):
             adjust_alpha(10, 0.5, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 50, 100])
+    @pytest.mark.parametrize("p", [0.187, 0.302, 0.5, 0.698, 0.813])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_equals_reference_bisection(self, k, p, alpha):
+        expected = reference_adjust_alpha(k, p, alpha)
+        assert adjust_alpha.__wrapped__(k, p, alpha) == expected  # uncached
+        assert adjust_alpha(k, p, alpha) == expected
+
+    def test_repeat_call_returns_from_the_memo(self):
+        first = adjust_alpha(40, 0.37, 0.05)
+        hits = adjust_alpha.cache_info().hits
+        assert adjust_alpha(40, 0.37, 0.05) == first
+        assert adjust_alpha.cache_info().hits == hits + 1
+
+    def test_memo_is_bounded(self):
+        assert adjust_alpha.cache_info().maxsize == ADJUST_ALPHA_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "k,p,alpha", [(10, 0.5, 0.0), (10, 0.5, 1.0), (0, 0.5, 0.1), (10, 1.0, 0.1)]
+    )
+    def test_invalid_arguments_raise_on_every_call(self, k, p, alpha):
+        for _ in range(3):
+            with pytest.raises(FairnessConfigError):
+                adjust_alpha(k, p, alpha)
 
 
 class TestAuditPrefixes:

@@ -11,6 +11,9 @@ a deliberate, reviewed act, justified only by a change that mints a new
 fingerprinted design field::
 
     PYTHONPATH=src python -m tests.golden.corpus
+
+New cases are pinned the same way, from the code *before* a change to
+the path they cover, so the pins that path must keep predate it.
 """
 
 from __future__ import annotations
@@ -38,9 +41,46 @@ DESIGNS = {
 TRIALS = (0, 20)
 SEEDS = (20180610, 7)
 
+#: FA*IR slices: the two ``sex`` groups of each table sit on both sides
+#: of p = 0.5, so every prefix test runs once below and once above it
+FAIR_STAR_DATASETS = ("german-credit", "compas")
+FAIR_STAR_KS = (10, 100)
+FAIR_STAR_ALPHAS = (0.01, 0.1)
+
+#: a small synthetic table for Spearman over ties and missing values
+TIES_AND_NANS = "ties-and-nans"
+
+
+def ties_and_nans_table():
+    """40 rows: a tied integer column, a column with NaNs, two groups.
+
+    ``level`` takes four values, so both it and the scores it feeds
+    carry long tie runs; ``rating`` is missing in every fifth row, so
+    the Ingredients widget drops rows pairwise before ranking.
+    """
+    import numpy as np
+
+    from repro.tabular.table import Table
+
+    rng = np.random.default_rng(20180610)
+    n = 40
+    rating = np.round(rng.uniform(0.0, 10.0, n), 1)
+    rating[::5] = np.nan
+    return Table.from_dict({
+        "item": [f"item-{i:02d}" for i in range(n)],
+        "group": ["a" if v < 0.4 else "b" for v in rng.uniform(size=n)],
+        "level": [int(v) for v in rng.integers(1, 5, n)],
+        "rating": [float(v) for v in rating],
+        "output": [float(v) for v in np.round(rng.normal(50.0, 10.0, n))],
+    })
+
 
 def cases() -> list[dict]:
-    """Every pinned case: each dataset on ``vectorized``, plus ``serial`` on one."""
+    """Every pinned case.
+
+    Each dataset on ``vectorized``, plus ``serial`` on one; then FA*IR
+    at k in {10, 100} and two alphas, and Spearman over ties and NaNs.
+    """
     grid = [(dataset, "vectorized") for dataset in DESIGNS]
     grid.append(("cs-departments", "serial"))
     out = []
@@ -60,6 +100,34 @@ def cases() -> list[dict]:
                         "seed": seed,
                     },
                 })
+    for dataset in FAIR_STAR_DATASETS:
+        weights, sensitive, id_column = DESIGNS[dataset]
+        for k in FAIR_STAR_KS:
+            for alpha in FAIR_STAR_ALPHAS:
+                out.append({
+                    "id": f"{dataset}-fairstar-k{k}-a{alpha}",
+                    "dataset": dataset,
+                    "backend": "vectorized",
+                    "design": {
+                        "weights": weights,
+                        "sensitive": [sensitive],
+                        "id_column": id_column,
+                        "k": k,
+                        "alpha": alpha,
+                    },
+                })
+    for k in (10, 30):
+        out.append({
+            "id": f"{TIES_AND_NANS}-spearman-k{k}",
+            "dataset": TIES_AND_NANS,
+            "backend": "vectorized",
+            "design": {
+                "weights": {"level": 0.6, "output": 0.4},
+                "sensitive": ["group"],
+                "id_column": "item",
+                "k": k,
+            },
+        })
     return out
 
 
@@ -77,7 +145,10 @@ def label_digests(case_list: list[dict]) -> dict[str, str]:
         for case in case_list:
             dataset, backend = case["dataset"], case["backend"]
             if dataset not in tables:
-                tables[dataset] = dataset_by_name(dataset)
+                tables[dataset] = (
+                    ties_and_nans_table() if dataset == TIES_AND_NANS
+                    else dataset_by_name(dataset)
+                )
             if backend not in services:
                 services[backend] = LabelService(use_cache=False, trial_backend=backend)
             outcome = services[backend].build_label(

@@ -2,7 +2,10 @@
 
 The pins in ``labels.json`` were generated before the thread, process
 and executor trial backends were removed; matching them proves that no
-label byte moved with that deletion, nor with any later change.
+label byte moved with that deletion, nor with any later change.  The
+FA*IR (k in {10, 100}) and ties-and-NaNs Spearman pins were generated
+before ``adjust_alpha`` was memoised, ``rankdata_average`` vectorised
+and categorical gathers stopped re-cleaning values.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.stats import kendall_tau, pearson_r, spearman_rho
 from repro.stats.correlation import rankdata_average
+from tests.oracles import rankdata_tie_loop
 
 
 class TestPearson:
@@ -43,6 +44,37 @@ class TestRankData:
     def test_matches_scipy(self, rng):
         x = rng.integers(0, 5, size=40).astype(float)
         np.testing.assert_allclose(rankdata_average(x), sps.rankdata(x))
+
+    def test_empty_and_single(self):
+        assert rankdata_average([]).shape == (0,)
+        assert rankdata_average([]).dtype == np.float64
+        assert rankdata_average([7.0]).tolist() == [1.0]
+
+    def test_each_nan_is_its_own_run(self):
+        ranks = rankdata_average([np.nan, 1.0, np.nan, 1.0])
+        assert ranks.tolist() == [3.0, 1.5, 4.0, 1.5]
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError):
+            rankdata_average(np.zeros((2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+                ),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=60,
+        )
+    )
+    def test_bit_identical_to_the_tie_loop(self, values):
+        expected = rankdata_tie_loop(values)
+        actual = rankdata_average(values)
+        assert actual.dtype == np.float64
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSpearman:

@@ -152,6 +152,45 @@ class TestCategoricalColumn:
         assert list(col.take([1, 1]).values) == ["b", "b"]
 
 
+class TestCategoricalGather:
+    """``take``, ``head`` and slicing skip cleaning yet match the constructor."""
+
+    RAW = ["a", None, float("nan"), 3, "b", "", 2.5, "a", np.nan, "c"]
+
+    def gathers(self, col):
+        raw = self.RAW
+        mask = np.arange(len(raw)) % 3 == 0
+        return [
+            (col.take([7, 1, 4, 2, 0, 9]), [raw[i] for i in (7, 1, 4, 2, 0, 9)]),
+            (col.take([]), []),
+            (col.head(4), raw[:4]),
+            (col.head(0), []),
+            (col[2:8], raw[2:8]),
+            (col[::-2], raw[::-2]),
+            (col[mask], [v for v, keep in zip(raw, mask) if keep]),
+        ]
+
+    def test_matches_the_constructor_path(self):
+        col = CategoricalColumn("c", self.RAW)
+        for gathered, raw in self.gathers(col):
+            expected = CategoricalColumn("c", raw)
+            assert type(gathered) is CategoricalColumn
+            assert gathered == expected
+            assert gathered.values.tolist() == expected.values.tolist()
+            assert all(type(v) is str for v in gathered.values)
+            np.testing.assert_array_equal(
+                gathered.missing_mask(), expected.missing_mask()
+            )
+            assert gathered.categories() == expected.categories()
+
+    def test_gathered_array_is_read_only(self):
+        col = CategoricalColumn("c", self.RAW)
+        for gathered, _ in self.gathers(col):
+            assert not gathered.values.flags.writeable
+            with pytest.raises(ValueError):
+                gathered.values[...] = "x"
+
+
 class TestInferColumn:
     def test_all_numbers_infer_numeric(self):
         assert infer_column("x", ["1", "2.5", "-3"]).kind == "numeric"

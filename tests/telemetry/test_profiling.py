@@ -8,6 +8,7 @@ slow span was running; and turning the profiler on never changes a
 label's bytes.
 """
 
+import sys
 import threading
 import time
 
@@ -107,6 +108,67 @@ class TestContinuous:
 
     def test_rotate_without_continuous_returns_none(self):
         assert SamplingProfiler().rotate_continuous() is None
+
+    def test_stop_joins_the_sampler_thread(self):
+        """No ``repro-profiler`` thread outlives a stop, twenty times over."""
+        before = set(sampler_threads())
+        profiler = SamplingProfiler()
+        for _ in range(20):
+            assert profiler.start_continuous(hz=50)
+            assert profiler.stop_continuous() is not None
+            assert not profiler.running
+            assert set(sampler_threads()) - before == set()
+
+    def test_window_during_continuous_keeps_the_thread(self):
+        profiler = SamplingProfiler()
+        profiler.start_continuous(hz=50)
+        try:
+            profiler.window(0.05, hz=100)
+            assert profiler.running  # the continuous sink still needs it
+        finally:
+            profiler.stop_continuous()
+        assert not profiler.running
+
+    def test_concurrent_attach_and_detach_leave_no_thread(self):
+        """Callers racing windows against start/stop: whoever detaches the
+        last sink joins the sampler, and a late attach gets a new one."""
+        before = set(sampler_threads())
+        profiler = SamplingProfiler()
+        errors = []
+
+        def churn(index):
+            try:
+                for _ in range(8):
+                    if index % 2:
+                        profiler.window(0.05, hz=200)
+                    else:
+                        profiler.start_continuous(hz=200)
+                        profiler.stop_continuous()
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=churn, args=(i,), daemon=True)
+                for i in range(6)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert profiler.stats()["sinks"] == 0
+        assert not profiler.running
+        assert set(sampler_threads()) - before == set()
+
+
+def sampler_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-profiler"]
 
 
 class TestBoundedTable:
