@@ -20,8 +20,9 @@ CHUNK_TRIALS = 64
 ROUNDS = 120
 
 
-def plus(payload, trial):
-    return payload["base"] + trial
+def plus(payload, trials, start):
+    """A zero-cost batch: the chunk path's fixed cost is all there is."""
+    return [payload["base"] + t for t in range(start, start + trials)]
 
 
 def timed_chunks(worker, trace_id, rounds=ROUNDS):
@@ -37,10 +38,8 @@ def timed_chunks(worker, trace_id, rounds=ROUNDS):
 
 def test_bench_b9_backhaul_overhead_under_five_percent():
     trace = new_trace_id()
-    on = TrialWorker(backend="serial", registry=MetricsRegistry())
-    off = TrialWorker(
-        backend="serial", registry=MetricsRegistry(), span_backhaul=False
-    )
+    on = TrialWorker(registry=MetricsRegistry())
+    off = TrialWorker(registry=MetricsRegistry(), span_backhaul=False)
 
     # interleave three measurement rounds and keep the best of each, so
     # a background hiccup in either column cannot manufacture a diff
@@ -61,7 +60,7 @@ def test_bench_b9_backhaul_overhead_under_five_percent():
 
 def test_bench_b9_untraced_chunks_pay_nothing_structurally():
     """No trace id -> the response body is the bare minor-1 result list."""
-    worker = TrialWorker(backend="serial", registry=MetricsRegistry())
+    worker = TrialWorker(registry=MetricsRegistry())
     body = wire.encode_trial_work(plus, {"base": 10})
     response = worker.run_chunk(
         wire.encode_request(body, 0, CHUNK_TRIALS, None)

@@ -1,10 +1,11 @@
-"""B3: the distributed trial cluster — serial vs a 2-worker local cluster.
+"""B3: the distributed trial cluster — the scalar oracle vs a 2-worker local cluster.
 
 The cluster's value proposition is *byte-identical labels on more
 machines*: each worker runs its chunk's trials at their absolute
 indices through the vectorized kernels, so the assembled batch equals
 a local run bit for bit.  Because the workers vectorize, the remote
-column beats plain serial even on this single-CPU bench host (the
+column beats the per-trial scalar oracle (``tests.oracles``, the
+``serial`` column) even on this single-CPU bench host (the
 kernels' win dwarfs the HTTP round-trips); the honest local comparison
 is the ``vectorized`` column, which the cluster cannot beat while both
 "workers" share the one core — *scaling past* one host's vectorized
@@ -26,6 +27,7 @@ from repro.cluster.worker import make_worker
 from repro.datasets import synthetic_scores_table
 from repro.ranking.scoring import LinearScoringFunction
 from repro.stability import WeightPerturbationStability
+from tests.oracles import OracleTrialBackend
 
 TRIALS = 40
 WEIGHTS = {"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2}
@@ -41,7 +43,8 @@ def test_bench_b3_cluster_timings_and_determinism():
     scorer = LinearScoringFunction(WEIGHTS)
 
     serial_estimator = WeightPerturbationStability(
-        table, scorer, "item", k=20, trials=TRIALS, seed=1
+        table, scorer, "item", k=20, trials=TRIALS, seed=1,
+        backend=OracleTrialBackend(),
     )
     serial_estimator.assess_at(0.1)  # warm-up
     start = time.perf_counter()
@@ -96,7 +99,8 @@ def test_bench_b3_failover_preserves_outcome():
     table = bench_table()
     scorer = LinearScoringFunction(WEIGHTS)
     serial_outcome = WeightPerturbationStability(
-        table, scorer, "item", k=20, trials=TRIALS, seed=1
+        table, scorer, "item", k=20, trials=TRIALS, seed=1,
+        backend=OracleTrialBackend(),
     ).assess_at(0.1)
 
     victim = make_worker().start()

@@ -11,7 +11,8 @@ claims the engine makes:
 - a cached label is served orders of magnitude faster than a cold
   build, with byte-identical JSON for equal seeds.
 
-The serial and vectorized trial backends are timed too, but only
+The vectorized trial backend and the per-trial scalar oracle it
+replaced (``tests.oracles``, labelled ``serial``) are timed too, but only
 *reported* here; the kernel speedup is asserted by B2
 (``test_bench_kernels.py``).
 """
@@ -118,10 +119,11 @@ def test_bench_e1_cached_vs_cold_label(benchmark):
 
 
 def test_bench_e1_trial_backend_report():
-    """Serial vs vectorized Monte-Carlo trials (report only; see module doc)."""
-    from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
+    """Scalar oracle vs vectorized Monte-Carlo trials (report only; see module doc)."""
+    from repro.engine.backends import VectorizedTrialBackend
     from repro.ranking.scoring import LinearScoringFunction
     from repro.stability import WeightPerturbationStability
+    from tests.oracles import OracleTrialBackend
 
     table = bench_table()
     scorer = LinearScoringFunction({"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2})
@@ -129,7 +131,7 @@ def test_bench_e1_trial_backend_report():
     seconds = {}
     outcomes = {}
     for name, backend in (
-        ("serial", SerialTrialBackend()),
+        ("serial", OracleTrialBackend()),
         ("vectorized", VectorizedTrialBackend()),
     ):
         estimator = WeightPerturbationStability(
@@ -143,5 +145,5 @@ def test_bench_e1_trial_backend_report():
         "E1: 40 MC trials, serial vs vectorized",
         [f"{name:<10} {seconds[name] * 1000:8.1f} ms" for name in seconds],
     )
-    # the determinism contract: the kernels reproduce the serial bytes
+    # the determinism contract: the kernels reproduce the oracle's bytes
     assert outcomes["serial"] == outcomes["vectorized"]

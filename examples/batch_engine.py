@@ -11,13 +11,12 @@ statistics afterwards to show what was built versus served from cache.
 
 Backend selection: the Monte-Carlo trials inside each build run on a
 trial backend — ``vectorized`` (the default: the whole trial batch as
-array kernels), ``serial`` (the scalar reference loop), or ``remote``
-(trials sharded across worker daemons).  Pick one with
-``LabelService(trial_backend="serial")`` here, with ``ranking-facts
-batch --trial-backend serial`` on the CLI, or with
-``REPRO_TRIAL_BACKEND=serial`` for the server.  All three serve
+array kernels) or ``remote`` (trials sharded across worker daemons).
+Pick one with ``LabelService(trial_backend="remote")`` here, with
+``ranking-facts batch --trial-backend remote`` on the CLI, or with
+``REPRO_TRIAL_BACKEND=remote`` for the server.  Both serve
 byte-identical labels for equal seeds, so the setting only changes
-speed.
+where the trials run.
 
 Run:  PYTHONPATH=src python examples/batch_engine.py
 """
@@ -60,9 +59,9 @@ jobs = [
 
 # -- 3. run everything through one service ----------------------------------------
 #
-# trial_backend picks how each build's Monte-Carlo trials execute;
-# "vectorized" is the default — try "serial" and watch the build times
-# grow while the labels stay byte-identical.
+# trial_backend picks where each build's Monte-Carlo trials execute;
+# "vectorized" is the default — "remote" shards them across worker
+# daemons and the labels stay byte-identical.
 
 with LabelService(cache_size=32, trial_backend="vectorized") as service:
     results = service.run_batch(jobs)

@@ -214,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default=None,
         help="Monte-Carlo trial execution backend (default: vectorized — "
-        "all trials batched into array kernels; 'serial' is the scalar "
-        "reference loop; 'remote' shards trials across worker daemons, "
-        "see --workers-from)",
+        "all trials batched into array kernels; 'remote' shards trials "
+        "across worker daemons, see --workers-from)",
     )
     batch.add_argument(
         "--workers-from", metavar="env|FILE", default=None,
@@ -1511,7 +1510,7 @@ def _run_worker(args: argparse.Namespace) -> str:
     from repro.cluster.worker import serve_worker_forever
 
     serve_worker_forever(
-        host=args.host, port=args.port, backend=args.backend,
+        host=args.host, port=args.port,
         log_level=args.log_level,
         register=args.register, advertise=args.advertise,
         heartbeat_ttl=args.heartbeat_ttl, profile=args.profile,

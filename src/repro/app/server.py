@@ -1332,14 +1332,13 @@ def make_server(
 
     When the server builds its own service (no ``session``, no
     ``service``), the ``REPRO_TRIAL_BACKEND`` environment variable
-    selects the Monte-Carlo trial backend (``serial``, the scalar
-    reference loop; ``vectorized``, the default batched-array-kernel
-    path; or ``remote``, which shards trials across the worker
-    daemons listed in ``REPRO_TRIAL_WORKERS`` as comma-separated
-    ``host:port``; see :mod:`repro.cluster`); an unknown value fails
-    here, at startup, not on the first label request.  The same goes
-    for the durable label store and the cache bounds: ``store_path``
-    (or ``REPRO_LABEL_STORE``) attaches a
+    selects the Monte-Carlo trial backend (``vectorized``, the default
+    batched-array-kernel path, or ``remote``, which shards trials across
+    the worker daemons listed in ``REPRO_TRIAL_WORKERS`` as
+    comma-separated ``host:port``; see :mod:`repro.cluster`); an unknown
+    value fails here, at startup, not on the first label request.  The
+    same goes for the durable label store and the cache bounds:
+    ``store_path`` (or ``REPRO_LABEL_STORE``) attaches a
     :class:`~repro.store.store.LabelStore` as the L2 tier, and
     ``cache_max_bytes``/``cache_ttl`` (or ``REPRO_CACHE_MAX_BYTES``/
     ``REPRO_CACHE_TTL``) bound the in-memory L1.  With a caller-built

@@ -35,7 +35,7 @@ Determinism contract (inherited from the backends): every chunk runs
 its trials at their *absolute* indices, so each trial draws from its
 own ``[seed, trial]`` RNG stream no matter which worker (or which
 retry) executed it.  A label computed on a cluster — including one
-that lost workers mid-batch — is byte-identical to a serial build.
+that lost workers mid-batch — is byte-identical to a local build.
 """
 
 __all__ = [

@@ -84,12 +84,7 @@ from repro.cluster.multiplex import (
 )
 from repro.cluster.policy import BREAKER_STATES, CircuitBreaker, FailurePolicy
 from repro.cluster.registry import RegistryClient
-from repro.engine.backends import (
-    TrialBackend,
-    TrialFn,
-    resolve_trial_backend,
-    run_trial_span,
-)
+from repro.engine.backends import TrialBackend, TrialFn, VectorizedTrialBackend
 from repro.errors import ClusterError
 from repro.telemetry import (
     MetricsRegistry,
@@ -379,9 +374,10 @@ class RemoteTrialBackend:
         reason recorded (so ``--trial-backend remote`` without a
         cluster degrades instead of failing).
     local:
-        The fallback :class:`TrialBackend` (or backend name) used when
-        the cluster is empty/degraded and for chunks no worker could
-        complete.  Default ``vectorized``.
+        The fallback local backend used when the cluster is
+        empty/degraded and for chunks no worker could complete; it must
+        offer ``run_span``.  Default a
+        :class:`~repro.engine.backends.VectorizedTrialBackend`.
     timeout:
         Per-chunk request timeout in seconds; a slower worker is
         treated as dead and its chunk fails over.
@@ -424,7 +420,7 @@ class RemoteTrialBackend:
     def __init__(
         self,
         workers: Sequence[str] = (),
-        local: TrialBackend | str | None = None,
+        local: TrialBackend | None = None,
         timeout: float = 30.0,
         probe_timeout: float = 5.0,
         chunk_size: int | None = None,
@@ -480,10 +476,7 @@ class RemoteTrialBackend:
         self._membership_poll_failures = 0
         self._workers_joined = 0
         self._workers_left = 0
-        if local is None or isinstance(local, str):
-            self._local = resolve_trial_backend(local or "vectorized")
-        else:
-            self._local = local
+        self._local = local if local is not None else VectorizedTrialBackend()
         self._chunk_size = chunk_size
         self._lock = threading.Lock()
         self.fallback_reason: str | None = None  # read by LabelExecutor.stats
@@ -938,9 +931,7 @@ class RemoteTrialBackend:
                 registry=self.registry,
                 chunk=f"[{start}, {stop})",
             ):
-                results[index] = run_trial_span(
-                    self._local, fn, payload, start, stop
-                )
+                results[index] = self._local.run_span(fn, payload, start, stop)
         return [results[index] for index in range(len(spans))]
 
     @staticmethod

@@ -27,6 +27,10 @@ from repro.errors import ClusterError
 
 __all__ = ["DaemonHandler", "DaemonServer", "DaemonHandle", "serve_until_stopped"]
 
+#: how often ``serve_forever`` checks for a stop request: ``stop()``
+#: waits up to this long, so a fixture of several daemons tears down fast
+_POLL_INTERVAL = 0.05
+
 
 class DaemonServer(ThreadingHTTPServer):
     """A threading HTTP server tracking its open client sockets.
@@ -130,7 +134,11 @@ class DaemonHandle:
 
     def __init__(self, server: DaemonServer) -> None:
         self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL},
+            daemon=True,
+        )
 
     @property
     def address(self) -> str:

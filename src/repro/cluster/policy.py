@@ -26,7 +26,7 @@ module makes the policy explicit and per-worker:
 
 Timing here shapes *scheduling*, never results: a chunk executed after
 any sequence of breaker transitions still runs at its absolute trial
-indices, so labels stay byte-identical to serial no matter how the
+indices, so labels stay byte-identical to a local build no matter how the
 fleet flapped.
 """
 

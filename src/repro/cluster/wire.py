@@ -9,7 +9,8 @@ A coordinator ships Monte-Carlo work to a worker as one binary frame::
     digest   SHA-256 of the body         (32 bytes)
     minor    protocol minor, big-endian  (2 bytes)   [since minor 1]
     trace    trace id, 16 raw bytes      (16 bytes)  [since minor 1]
-    body     pickle of (trial_fn, payload)
+    body     pickle of (trial_fn, payload); trial_fn is a batch function
+             fn(payload, trials, start) -> list   [since major 2]
 
 and the worker replies with the same framing around a pickled result
 list (``start``/``stop`` echo the span, so a response can never be
@@ -74,8 +75,10 @@ __all__ = [
 ]
 
 #: bump when the frame layout or the trial payload contracts change
-#: incompatibly; a mismatch is rejected at probe time and frame time
-PROTOCOL_VERSION = 1
+#: incompatibly; a mismatch is rejected at probe time and frame time.
+#: Major 2: the shipped function is a batch function
+#: ``fn(payload, trials, start)``, not a per-trial ``fn(payload, trial)``
+PROTOCOL_VERSION = 2
 
 #: additive revisions within the major; minor 1 added the trace-id
 #: field, minor 2 added the optional span-backhaul response body (a

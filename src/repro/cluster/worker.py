@@ -6,16 +6,15 @@ A worker is a stdlib ``http.server`` daemon (the same substrate as
 
 - ``POST /trials``  — body is one wire frame: pickled
   ``(trial_fn, payload)`` plus a trial-index span ``[start, stop)``.
-  The worker runs the span through its local
-  :class:`~repro.engine.backends.TrialBackend` (default ``vectorized``)
-  at the span's *absolute* trial indices —
-  :func:`repro.engine.backends.run_trial_span` — so per-trial RNG
-  streams, and therefore label bytes, are identical to an unsharded
-  run.  Responds with a result frame (200), a rejection (400: bad
-  magic, version mismatch, corrupted body — counted, never executed),
-  or a trial error (500: the trial function itself raised; the
-  coordinator will re-raise it locally).
-- ``GET /healthz``  — liveness + protocol version + backend names;
+  The worker runs the span on its local
+  :class:`~repro.engine.backends.VectorizedTrialBackend` at the span's
+  *absolute* trial indices, so per-trial RNG streams, and therefore
+  label bytes, are identical to an unsharded run.  Responds with a
+  result frame (200), a rejection (400: bad magic, version mismatch,
+  corrupted body — counted, never executed), or a trial error (500:
+  the trial function itself raised; the coordinator will re-raise it
+  locally).
+- ``GET /healthz``  — liveness + protocol version + backend name;
   the coordinator refuses to schedule onto a worker whose protocol
   differs from its own.  The probe's own response time is recorded in
   the worker's metrics registry (``repro_worker_healthz_seconds``).
@@ -77,7 +76,7 @@ from repro.cluster.daemon import (
     serve_until_stopped,
 )
 from repro.cluster.registry import DEFAULT_LEASE_TTL, HeartbeatLoop, RegistryClient
-from repro.engine.backends import resolve_trial_backend, run_trial_span
+from repro.engine.backends import VectorizedTrialBackend
 from repro.errors import ClusterError
 from repro.telemetry import (
     DEFAULT_CONTINUOUS_HZ,
@@ -140,15 +139,10 @@ class TrialWorker:
 
     def __init__(
         self,
-        backend: str | None = None,
         registry: MetricsRegistry | None = None,
         span_backhaul: bool = True,
     ):
-        self.backend_requested = backend if backend is not None else "vectorized"
-        if self.backend_requested == "remote":
-            # a worker relaying to more workers would recurse
-            raise ClusterError("a trial worker cannot use the 'remote' backend")
-        self._backend = resolve_trial_backend(self.backend_requested)
+        self._backend = VectorizedTrialBackend()
         self.registry = registry if registry is not None else get_default_registry()
         self.span_backhaul = span_backhaul
         self._lock = threading.Lock()
@@ -197,9 +191,9 @@ class TrialWorker:
                 registry=self.registry,
                 buffer=capture,
                 span_range=f"[{start}, {stop})",
-                backend=self._backend.effective_name,
+                backend=self._backend.name,
             ):
-                results = run_trial_span(self._backend, fn, payload, start, stop)
+                results = self._backend.run_span(fn, payload, start, stop)
         except Exception as exc:
             _log.error(
                 "trial function raised in chunk [%d, %d): %s", start, stop, exc,
@@ -218,7 +212,7 @@ class TrialWorker:
                 self._backhauled_spans += len(spans)
         _log.info(
             "executed chunk [%d, %d) on %s", start, stop,
-            self._backend.effective_name, extra={"trace_id": trace_id},
+            self._backend.name, extra={"trace_id": trace_id},
         )
         return wire.encode_response(results, start, stop, trace_id, spans=spans)
 
@@ -246,8 +240,7 @@ class TrialWorker:
             "status": status,
             "protocol": wire.PROTOCOL_VERSION,
             "protocol_minor": wire.PROTOCOL_MINOR,
-            "backend": self.backend_requested,
-            "backend_effective": self._backend.effective_name,
+            "backend": self._backend.name,
         }
 
     def stats(self) -> dict[str, object]:
@@ -263,8 +256,7 @@ class TrialWorker:
                 "rejected_frames": self._rejected,
                 "trial_errors": chunks(name="worker.chunk", status="error"),
                 "backhauled_spans": self._backhauled_spans,
-                "backend": self.backend_requested,
-                "backend_effective": self._backend.effective_name,
+                "backend": self._backend.name,
                 "uptime_seconds": time.monotonic() - self._started,
                 "last_trace_id": self._last_trace_id,
                 "draining": self._draining,
@@ -404,7 +396,6 @@ class WorkerHandle(DaemonHandle):
 def make_worker(
     host: str = "127.0.0.1",
     port: int = 0,
-    backend: str | None = None,
     registry: MetricsRegistry | None = None,
     register_url: str | None = None,
     advertise: str | None = None,
@@ -415,8 +406,6 @@ def make_worker(
 ) -> WorkerHandle:
     """Bind a worker daemon (port 0 = ephemeral, for tests).
 
-    ``backend`` names the local :class:`TrialBackend` chunks execute on
-    (default ``vectorized``; ``serial`` runs the scalar reference loop);
     ``registry`` scopes the daemon's metrics (default: process-wide).
     ``register_url`` points at a :mod:`repro.cluster.registry` service:
     the handle then announces itself on start (as ``advertise`` if
@@ -429,9 +418,7 @@ def make_worker(
     keeps the process profiler's low-rate continuous sampler running;
     ``GET /debug/profile`` windows work either way.
     """
-    worker = TrialWorker(
-        backend=backend, registry=registry, span_backhaul=span_backhaul,
-    )
+    worker = TrialWorker(registry=registry, span_backhaul=span_backhaul)
     worker.profiler = get_default_profiler()
     if profile is None:
         profile = env_profile_enabled()
@@ -453,7 +440,7 @@ def make_worker(
             meta={
                 "role": "worker",
                 "protocol": wire.PROTOCOL_VERSION,
-                "backend": worker.backend_requested,
+                "backend": VectorizedTrialBackend.name,
             },
         )
         worker.heartbeat = handle.heartbeat  # surfaces in /stats
@@ -463,7 +450,6 @@ def make_worker(
 def serve_worker_forever(
     host: str = "127.0.0.1",
     port: int = 8101,
-    backend: str | None = None,
     log_level: str | None = None,
     register: str | None = None,
     advertise: str | None = None,
@@ -485,7 +471,7 @@ def serve_worker_forever(
     if log_level:
         configure_logging(log_level)
     handle = make_worker(
-        host=host, port=port, backend=backend,
+        host=host, port=port,
         register_url=register, advertise=advertise,
         heartbeat_ttl=heartbeat_ttl, profile=profile,
     )
@@ -493,7 +479,7 @@ def serve_worker_forever(
     serve_until_stopped(
         handle,
         f"Ranking Facts trial worker on {handle.url} "
-        f"(backend {handle.worker.backend_requested}{registered}, "
+        f"(backend {VectorizedTrialBackend.name}{registered}, "
         "Ctrl-C to stop)",
         "worker draining",
     )
@@ -507,13 +493,6 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8101)
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "vectorized"),
-        default="vectorized",
-        help="local backend trial chunks execute on (default vectorized; "
-        "'serial' is the scalar reference loop)",
-    )
     parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
         help="emit structured JSON logs on stderr at this level (debug, "
@@ -554,7 +533,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_worker_arguments(parser)
     args = parser.parse_args(argv)
     serve_worker_forever(
-        host=args.host, port=args.port, backend=args.backend,
+        host=args.host, port=args.port,
         log_level=args.log_level,
         register=args.register, advertise=args.advertise,
         heartbeat_ttl=args.heartbeat_ttl, profile=args.profile,

@@ -12,10 +12,9 @@ label builder.  That layer is this package:
   value objects every entry point normalizes into;
 - :mod:`repro.engine.backends` — :class:`TrialBackend` execution for
   the Monte-Carlo trials: vectorized (the whole trial batch as array
-  kernels, see :mod:`repro.stability.kernels` — the default), serial
-  (the scalar reference loop), or remote (the batch sharded across
-  worker daemons with failover, see :mod:`repro.cluster`), selected by
-  name;
+  kernels, see :mod:`repro.stability.kernels` — the default) or remote
+  (the batch sharded across worker daemons with failover, see
+  :mod:`repro.cluster`), selected by name;
 - :mod:`repro.engine.executor` — thread-pool fan-out for batches, plus
   the trial backend handed to each build;
 - :mod:`repro.engine.service` — :class:`LabelService`, the facade the
@@ -23,17 +22,15 @@ label builder.  That layer is this package:
 
 Determinism contract: a label served by the engine — cached, batched,
 or with its trials on any backend — is byte-identical to one built
-serially by :class:`~repro.label.builder.RankingFactsBuilder` with the
+directly by :class:`~repro.label.builder.RankingFactsBuilder` with the
 same seed.
 """
 
 from repro.engine.backends import (
     BACKEND_NAMES,
-    SerialTrialBackend,
     TrialBackend,
     VectorizedTrialBackend,
     resolve_trial_backend,
-    run_trial_span,
 )
 from repro.engine.cache import CacheStats, LabelCache
 from repro.engine.executor import BatchHandle, LabelExecutor
@@ -48,10 +45,8 @@ from repro.engine.service import LabelOutcome, LabelService
 __all__ = [
     "BACKEND_NAMES",
     "TrialBackend",
-    "SerialTrialBackend",
     "VectorizedTrialBackend",
     "resolve_trial_backend",
-    "run_trial_span",
     "CacheStats",
     "LabelCache",
     "BatchHandle",

@@ -8,10 +8,9 @@
   single-flight cache collapses duplicate designs to one build;
 - the **trial backend** (:mod:`repro.engine.backends`) is handed to the
   label builder so each label's Monte-Carlo stability trials (the hot
-  path) run as batched array kernels (``vectorized``, the default), as
-  the scalar reference loop (``serial``), or sharded across remote
-  worker daemons (``remote``, :mod:`repro.cluster`) — selected by name
-  or passed as an instance.
+  path) run as batched array kernels (``vectorized``, the default) or
+  sharded across remote worker daemons (``remote``,
+  :mod:`repro.cluster`) — selected by name or passed as an instance.
 
 Batches are tracked by id, so a client can submit asynchronously
 (``POST /jobs``) and poll (``GET /jobs/<id>``) — the shape the paper's
@@ -118,10 +117,9 @@ class LabelExecutor:
         server's memory.
     trial_backend:
         Backend for the Monte-Carlo trials: a name — ``"vectorized"``
-        (the default: batched array kernels), ``"serial"`` (the scalar
-        reference loop), or ``"remote"`` (trials sharded across the
-        worker daemons named by ``REPRO_TRIAL_WORKERS``, see
-        :mod:`repro.cluster`) — resolved via
+        (the default: batched array kernels) or ``"remote"`` (trials
+        sharded across the worker daemons named by
+        ``REPRO_TRIAL_WORKERS``, see :mod:`repro.cluster`) — resolved via
         :func:`repro.engine.backends.resolve_trial_backend`; or an
         already-built :class:`TrialBackend` instance (how the CLI hands
         over a remote coordinator configured from ``--workers-from``).
@@ -248,7 +246,7 @@ class LabelExecutor:
         for polling (capped at ``max_batches``).
         """
         backend = self._trial_backend
-        # vectorized and remote backends both record why they declined
+        # a remote backend records why it last ran trials locally
         fallback = getattr(backend, "fallback_reason", None)
         with self._lock:
             stats: dict[str, object] = {
@@ -267,7 +265,6 @@ class LabelExecutor:
             }
         if isinstance(backend, VectorizedTrialBackend):
             stats["trial_kernel_runs"] = backend.kernel_runs
-            stats["trial_scalar_fallbacks"] = backend.scalar_runs
         # the remote coordinator carries its own dispatch/failover
         # counters and per-worker registry state; surface them whole
         return merged_stats(

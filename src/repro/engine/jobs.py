@@ -20,8 +20,8 @@ Execution note: *how* a label is computed — which
 :class:`~repro.engine.backends.TrialBackend` runs the Monte-Carlo
 trials — is deliberately **not** part of a design.  Backends are
 byte-identical for equal seeds, so the same fingerprint must be a
-cache hit whether the label was built serially, vectorized, or on
-remote workers.
+cache hit whether the label's trials ran in-process or on remote
+workers.
 """
 
 from __future__ import annotations

@@ -103,9 +103,9 @@ class LabelService:
         Master switch, mostly for benchmarking cold builds.
     trial_backend:
         The Monte-Carlo trial backend: a name — ``"vectorized"`` (the
-        default: the trials batched into array kernels), ``"serial"``
-        (the scalar reference loop), or ``"remote"`` (trials sharded
-        across the worker daemons in ``REPRO_TRIAL_WORKERS``; see
+        default: the trials batched into array kernels) or ``"remote"``
+        (trials sharded across the worker daemons in
+        ``REPRO_TRIAL_WORKERS``; see
         :mod:`repro.cluster`) — or an already-built
         :class:`~repro.engine.backends.TrialBackend` instance.  All of
         them serve byte-identical labels for equal seeds.

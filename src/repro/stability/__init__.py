@@ -19,10 +19,8 @@ Three estimators, matching the paper's three framings:
   data": attribute noise injection with the same movement metrics.
 
 The two Monte-Carlo estimators (and the per-attribute variant) run
-their trials through a trial backend; when the scorer is a plain
-linear one, the ``vectorized`` backend computes the entire trial batch
-as array operations via :mod:`repro.stability.kernels` —
-byte-identical to the serial loop, minus the per-trial Python.
+their trials through a trial backend, which computes each trial batch
+as array operations via the kernels in :mod:`repro.stability.kernels`.
 """
 
 from repro.stability.gaps import GapReport, score_gap_analysis

@@ -1,8 +1,8 @@
 """Vectorized Monte-Carlo trial kernels: a whole trial batch as array ops.
 
-The scalar trial functions in :mod:`repro.stability.perturbation`,
-:mod:`~repro.stability.uncertainty`, and
-:mod:`~repro.stability.per_attribute` each re-rank the table once per
+A scalar trial of the stability estimators
+(:mod:`repro.stability.perturbation`, :mod:`~repro.stability.uncertainty`,
+:mod:`~repro.stability.per_attribute`) would re-rank the table once per
 trial: materialize a scored :class:`~repro.ranking.ranker.Ranking`
 (``Table.take`` over every column), convert ids to Python lists, and
 compare via per-item dict lookups.  That per-trial interpretation
@@ -34,60 +34,72 @@ kernels apply the same discipline to the stability widget's hot loop:
   never reach the top-k, then decides each trial with two reductions
   along its row (see :func:`run_attribute_kernel`).
 
-**Byte-identity contract.**  For every payload a kernel accepts, its
-result list is byte-identical to running the matching scalar trial
-function over ``range(trials)``.  Anything a kernel cannot reproduce
-exactly — a scorer that is not a plain
+**One trial contract.**  Each kernel is the trial function itself:
+``kernel(payload, trials, start) -> list`` computes trials
+``[start, start + trials)``, and every backend runs trial batches
+through :func:`dispatch_kernel`.  Its results are byte-identical to the
+per-trial scalar path the kernels replaced, which lives on as the test
+oracle (``tests/oracles.py``).  A payload that path could not rank
+raises that path's own error, with the same type and message: a missing
+or duplicate item id, an unusable scoring or noisy attribute, an
+all-zero weight draw.  A scorer that is not exactly a
 :class:`~repro.ranking.scoring.LinearScoringFunction` (a subclass may
-override ``score_table``), duplicate item ids, a payload whose baseline
-disagrees with its table — is **declined**, and
-:func:`dispatch_kernel` reports the reason so the caller (the
-``vectorized`` :class:`~repro.engine.backends.VectorizedTrialBackend`)
-can fall back to the scalar path and surface the reason in
-``GET /engine/stats``.
+override ``score_table``) and a payload whose baseline disagrees with
+its own table raise :class:`~repro.errors.StabilityError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro import _native
+from repro.errors import RankingError, StabilityError, WeightError
 from repro.ranking.compare import count_inversions_batch, kendall_tau_from_discordant
 from repro.ranking.scoring import LinearScoringFunction
 from repro.stability.montecarlo import trial_rng
-from repro.stability.per_attribute import AttributeTrialPayload, _attribute_trial
-from repro.stability.perturbation import PerturbationTrialPayload, _perturbation_trial
-from repro.stability.uncertainty import UncertaintyTrialPayload, _uncertainty_trial
 from repro.tabular.table import Table
+
+if TYPE_CHECKING:  # the estimators import the kernels; keep the reverse static
+    from repro.stability.per_attribute import AttributeTrialPayload
+    from repro.stability.perturbation import PerturbationTrialPayload
+    from repro.stability.uncertainty import UncertaintyTrialPayload
 
 __all__ = [
     "dispatch_kernel",
-    "kernel_for",
+    "require_plain_linear_scorer",
     "run_perturbation_kernel",
     "run_uncertainty_kernel",
     "run_attribute_kernel",
 ]
 
 
-class _KernelFallback(Exception):
-    """Raised inside a kernel when the scalar path must run instead."""
+def require_plain_linear_scorer(scorer: object) -> LinearScoringFunction:
+    """``scorer``, if its type is exactly :class:`LinearScoringFunction`.
 
-
-def _require(condition: bool, reason: str) -> None:
-    if not condition:
-        raise _KernelFallback(reason)
-
-
-def _require_plain_linear_scorer(scorer: object) -> LinearScoringFunction:
-    # an exact type check: a subclass may override score_table, and the
-    # kernel's accumulation would silently diverge from it
-    _require(
-        type(scorer) is LinearScoringFunction,
-        f"scorer {type(scorer).__name__} is not a plain LinearScoringFunction",
-    )
+    An exact type check: a subclass may override ``score_table``, and
+    the kernels' accumulation would silently diverge from it.
+    """
+    if type(scorer) is not LinearScoringFunction:
+        raise StabilityError(
+            f"scorer {type(scorer).__name__} is not a plain LinearScoringFunction"
+        )
     return scorer  # type: ignore[return-value]
+
+
+def _refuse_invalid_draws(scorer: LinearScoringFunction, matrix: np.ndarray) -> None:
+    """Raise the scalar path's ``WeightError`` if a trial drew invalid weights.
+
+    ``matrix[a, t]`` is attribute ``a``'s weight in trial ``t``.  A trial
+    whose weights are all zero, or not all finite, is no scorer:
+    rebuilding the first such trial's scorer raises exactly what the
+    scalar trial raised.
+    """
+    invalid = ~np.isfinite(matrix).all(axis=0) | (matrix == 0.0).all(axis=0)
+    if invalid.any():
+        trial = int(np.argmax(invalid))
+        scorer.with_weights(dict(zip(scorer.weights, matrix[:, trial].tolist())))
 
 
 def _design_matrix(
@@ -102,10 +114,7 @@ def _design_matrix(
     columns: list[np.ndarray] = []
     any_missing = np.zeros(table.num_rows, dtype=bool)
     for attr in scorer.attributes():
-        try:
-            values = table.numeric_column(attr).values.copy()
-        except Exception as exc:
-            raise _KernelFallback(f"scoring attribute {attr!r} unusable: {exc}") from exc
+        values = table.numeric_column(attr).values.copy()
         missing = np.isnan(values)
         any_missing |= missing
         values[missing] = 0.0
@@ -148,27 +157,38 @@ def _baseline_order(table: Table, scorer: LinearScoringFunction) -> np.ndarray:
 
 
 def _unique_ids(table: Table, id_column: str) -> list:
-    _require(id_column in table, f"id column {id_column!r} not in table")
+    """The item ids, raising what ranking and comparing by them raises."""
+    if id_column not in table:
+        raise RankingError(f"id column {id_column!r} not in table")
     ids = list(table.column(id_column).values)
-    _require(len(set(ids)) == len(ids), "item ids are not unique")
+    if len(set(ids)) != len(ids):
+        raise RankingError("rank comparison requires unique item ids")
     return ids
 
 
 def _verified_baseline(
     payload, ids: list, base_order: np.ndarray, k: int
 ) -> None:
-    """Decline payloads whose baseline disagrees with their own table."""
+    """Refuse what the movement metrics refuse, then a baseline that lies.
+
+    Too few items and ``k < 1`` raise the ``RankingError`` of
+    ``kendall_tau_ids`` and ``top_k_overlap_ids``, in that order; a
+    payload whose baseline disagrees with its own table raises
+    ``StabilityError``, since the kernel reads the baseline off the table.
+    """
     n = len(ids)
-    _require(
-        tuple(ids[row] for row in base_order) == tuple(payload.baseline_ids),
-        "payload baseline_ids do not match the table's own ranking",
-    )
-    _require(
-        set(payload.baseline_ids[:k]) == set(payload.baseline_top),
-        "payload baseline_top does not match baseline_ids",
-    )
-    _require(1 <= k, f"k must be >= 1, got {k}")
-    _require(n >= 2, f"rank comparison needs at least 2 items, found {n}")
+    if n < 2:
+        raise RankingError(
+            f"rank comparison needs at least 2 common items, found {n}"
+        )
+    if k < 1:
+        raise RankingError(f"top_k_overlap needs k >= 1, got {k}")
+    if tuple(ids[row] for row in base_order) != tuple(payload.baseline_ids):
+        raise StabilityError(
+            "payload baseline_ids do not match the table's own ranking"
+        )
+    if set(payload.baseline_ids[:k]) != set(payload.baseline_top):
+        raise StabilityError("payload baseline_top does not match baseline_ids")
 
 
 def _movement_outcomes(
@@ -222,7 +242,7 @@ def _jitter_weight_matrix(
     scorer: LinearScoringFunction, epsilon: float, seed: int, trials: int,
     start: int = 0,
 ) -> np.ndarray:
-    """All T perturbed weight vectors, drawn exactly like ``_jittered_scorer``.
+    """All T perturbed weight vectors, drawn exactly like the scalar jitter.
 
     Trial ``t`` consumes ``trial_rng(seed, start + t)`` with one uniform
     per weight in declaration order — the identical draw sequence of the
@@ -245,21 +265,16 @@ def _jitter_weight_matrix(
 def run_perturbation_kernel(
     payload: PerturbationTrialPayload, trials: int, start: int = 0
 ) -> list[tuple[float, float, bool]]:
-    """Trials ``[start, start + trials)`` of
-    :func:`~repro.stability.perturbation._perturbation_trial`."""
-    scorer = _require_plain_linear_scorer(payload.scorer)
+    """Weight-jitter trials ``[start, start + trials)``: per trial the
+    (Kendall tau, top-k overlap, top-k set changed) of the re-ranking."""
+    scorer = require_plain_linear_scorer(payload.scorer)
     table = payload.table
-    ids = _unique_ids(table, payload.id_column)
     weight_matrix = _jitter_weight_matrix(
         scorer, payload.epsilon, payload.seed, trials, start
     )
-    # an all-zero draw would make the scalar path raise WeightError;
-    # decline so it still does
-    _require(
-        not np.any(np.all(weight_matrix == 0.0, axis=0)),
-        "a trial drew an all-zero weight vector",
-    )
+    _refuse_invalid_draws(scorer, weight_matrix)
     base_order = _baseline_order(table, scorer)
+    ids = _unique_ids(table, payload.id_column)
     _verified_baseline(payload, ids, base_order, payload.k)
     columns, any_missing = _design_matrix(table, scorer)
     scores = _accumulate_scores(
@@ -274,7 +289,7 @@ def run_perturbation_kernel(
 def _noise_matrices(
     payload: UncertaintyTrialPayload, trials: int, start: int = 0
 ) -> dict[str, np.ndarray]:
-    """Per-attribute ``(T x n)`` noise, drawn exactly like ``_noisy_table``.
+    """Per-attribute ``(T x n)`` noise, drawn exactly like the scalar noisy table.
 
     Trial ``t`` consumes ``trial_rng(seed, start + t)`` with one ``normal``
     batch per noisy attribute in ``attribute_stds`` order (skipping
@@ -290,10 +305,7 @@ def _noise_matrices(
     for attr, std in payload.attribute_stds:
         if std == 0.0 or attr in present:
             continue
-        try:
-            values = table.numeric_column(attr).values
-        except Exception as exc:
-            raise _KernelFallback(f"noisy attribute {attr!r} unusable: {exc}") from exc
+        values = table.numeric_column(attr).values
         present[attr] = np.flatnonzero(~np.isnan(values))
     n = table.num_rows
     noise = {
@@ -318,22 +330,19 @@ def _noise_matrices(
 def run_uncertainty_kernel(
     payload: UncertaintyTrialPayload, trials: int, start: int = 0
 ) -> list[tuple[float, float, bool]]:
-    """Trials ``[start, start + trials)`` of
-    :func:`~repro.stability.uncertainty._uncertainty_trial`."""
-    scorer = _require_plain_linear_scorer(payload.scorer)
+    """Attribute-noise trials ``[start, start + trials)``: per trial the
+    (Kendall tau, top-k overlap, top-k set changed) of the re-ranking."""
+    scorer = require_plain_linear_scorer(payload.scorer)
     table = payload.table
-    ids = _unique_ids(table, payload.id_column)
-    base_order = _baseline_order(table, scorer)
-    _verified_baseline(payload, ids, base_order, payload.k)
     noise = _noise_matrices(payload, trials, start)
+    base_order = _baseline_order(table, scorer)
+    ids = _unique_ids(table, payload.id_column)
+    _verified_baseline(payload, ids, base_order, payload.k)
     n = table.num_rows
     scores = np.zeros((trials, n), dtype=np.float64)
     any_missing = np.zeros(n, dtype=bool)
     for attr, weight in scorer.weights.items():
-        try:
-            column = table.numeric_column(attr).values
-        except Exception as exc:
-            raise _KernelFallback(f"scoring attribute {attr!r} unusable: {exc}") from exc
+        column = table.numeric_column(attr).values
         missing = np.isnan(column)
         any_missing |= missing
         if attr in noise:
@@ -437,8 +446,8 @@ def _top_set_kept(keys: np.ndarray, member: np.ndarray) -> np.ndarray:
 def run_attribute_kernel(
     payload: AttributeTrialPayload, trials: int, start: int = 0
 ) -> list[bool]:
-    """Trials ``[start, start + trials)`` of
-    :func:`~repro.stability.per_attribute._attribute_trial`.
+    """Single-weight-jitter trials ``[start, start + trials)``: per trial,
+    whether the top-k id set changed.
 
     A trial's flag is "the top-k id set differs from ``baseline_top``".
     When the baseline set is exactly ``min(k, n)`` rows of the table
@@ -450,16 +459,16 @@ def run_attribute_kernel(
     ``sum |w| |x|``); the survivors are scored by the unchanged
     :func:`_accumulate_scores`, so every float matches the scalar path.
     """
-    scorer = _require_plain_linear_scorer(payload.scorer)
+    scorer = require_plain_linear_scorer(payload.scorer)
     table = payload.table
     weights = scorer.weights
-    _require(
-        payload.attribute in weights,
-        f"jittered attribute {payload.attribute!r} not in the scorer",
-    )
+    if payload.attribute not in weights:
+        raise WeightError(
+            f"perturbed() got unknown attribute(s): {payload.attribute}"
+        )
+    if payload.k < 1:  # per_attribute_stability's own check
+        raise StabilityError(f"k must be >= 1, got {payload.k}")
     n = table.num_rows
-    _require(n >= 1, "table has no rows")
-    _require(payload.k >= 1, f"k must be >= 1, got {payload.k}")
     deltas = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         rng = trial_rng(payload.seed, start + t)
@@ -472,17 +481,15 @@ def run_attribute_kernel(
             matrix[index, :] = [w + float(delta) for delta in deltas]
         else:
             matrix[index, :] = w
-    _require(
-        not np.any(np.all(matrix == 0.0, axis=0)),
-        "a trial drew an all-zero weight vector",
-    )
+    _refuse_invalid_draws(scorer, matrix)
+    table.require_rows(1)
+    columns, any_missing = _design_matrix(table, scorer)
     if payload.id_column is None:
         # positional ids: every ranking's top-k id set is {1..min(k, n)},
         # so the change flag is one table-independent set comparison
         top = set(range(1, min(payload.k, n) + 1))
         return [bool(top != set(payload.baseline_top))] * trials
     ids = _unique_ids(table, payload.id_column)
-    columns, any_missing = _design_matrix(table, scorer)
     member = np.fromiter(
         map(payload.baseline_top.__contains__, ids), dtype=bool, count=n
     )
@@ -506,45 +513,15 @@ def run_attribute_kernel(
 
 # -- dispatch ------------------------------------------------------------------
 
-#: scalar trial function -> (payload type, batch kernel)
-_KERNELS: dict[Callable, tuple[type, Callable]] = {
-    _perturbation_trial: (PerturbationTrialPayload, run_perturbation_kernel),
-    _uncertainty_trial: (UncertaintyTrialPayload, run_uncertainty_kernel),
-    _attribute_trial: (AttributeTrialPayload, run_attribute_kernel),
-}
-
-
-def kernel_for(fn: Callable) -> Callable | None:
-    """The batch kernel registered for a scalar trial function, if any."""
-    entry = _KERNELS.get(fn)
-    return entry[1] if entry else None
-
 
 def dispatch_kernel(
-    fn: Callable, payload: Any, trials: int, start: int = 0
-) -> tuple[list | None, str | None]:
-    """Run the batch kernel for ``(fn, payload)``: ``(results, None)``.
+    fn: Callable[[Any, int, int], list], payload: Any, trials: int, start: int = 0
+) -> list:
+    """Run trials ``[start, start + trials)`` of the batch trial function ``fn``.
 
-    Returns ``(None, reason)`` when no kernel matches or the matching
-    kernel declines the payload — the caller must then run the scalar
-    path, which either produces the identical results or raises the
-    error the kernel could not reproduce.  ``start`` offsets the trial
-    indices, so a cluster worker can vectorize the span
-    ``[start, start + trials)`` of a sharded batch.
+    The one call every trial batch goes through, on every backend and
+    with no backend at all, so a single wrapper here times every kernel
+    run.  ``start`` offsets the trial indices, so a cluster worker
+    computes the span of a sharded batch at its absolute positions.
     """
-    entry = _KERNELS.get(fn)
-    if entry is None:
-        name = getattr(fn, "__name__", repr(fn))
-        return None, f"no vectorized kernel for trial function {name!r}"
-    payload_type, kernel = entry
-    if not isinstance(payload, payload_type):
-        return None, (
-            f"payload {type(payload).__name__} does not match "
-            f"{payload_type.__name__}"
-        )
-    try:
-        return kernel(payload, trials, start), None
-    except _KernelFallback as fallback:
-        return None, str(fallback)
-    except Exception as exc:  # the scalar rerun reproduces or explains it
-        return None, f"kernel error ({type(exc).__name__}: {exc})"
+    return fn(payload, trials, start)

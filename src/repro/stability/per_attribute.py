@@ -7,12 +7,10 @@ change that more-likely-than-not alters the top-k — so an analyst can
 read "the ranking survives a 40% change to GRE's weight but flips under
 a 6% change to PubCount's" directly off the detailed widget.
 
-The bisection probes run their trials through a module-level function
-over a plain payload, so the loop runs on any
-:class:`~repro.engine.backends.TrialBackend` (including remote
-workers) with byte-identical results; the ``vectorized`` backend computes each
-probe's batch as one array program
-(:func:`repro.stability.kernels.run_attribute_kernel`).
+Each bisection probe runs its trials as one array program over a plain
+payload (:func:`repro.stability.kernels.run_attribute_kernel`), so the
+loop runs on any :class:`~repro.engine.backends.TrialBackend`
+(including remote workers) with byte-identical results.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import numpy as np
 from repro.errors import StabilityError
 from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import run_payload_trials, trial_rng
+from repro.stability.kernels import require_plain_linear_scorer, run_attribute_kernel
+from repro.stability.montecarlo import run_payload_trials
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -61,11 +60,7 @@ class AttributeStability:
 
 @dataclass(frozen=True)
 class AttributeTrialPayload:
-    """Everything one single-weight-jitter trial needs, picklable.
-
-    The scorer travels as the object itself (the repo's scorers pickle
-    cleanly), so subclass behaviour survives the cluster wire.
-    """
+    """Everything a single-weight-jitter trial batch needs, picklable."""
 
     table: Table
     scorer: LinearScoringFunction
@@ -76,15 +71,6 @@ class AttributeTrialPayload:
     baseline_top: frozenset
     k: int
     seed: int
-
-
-def _attribute_trial(payload: AttributeTrialPayload, trial: int) -> bool:
-    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
-    rng = trial_rng(payload.seed, trial)
-    delta = float(rng.uniform(-payload.epsilon, payload.epsilon) * payload.scale)
-    perturbed = payload.scorer.perturbed({payload.attribute: delta})
-    ranking = rank_table(payload.table, perturbed, payload.id_column)
-    return set(ranking.item_ids()[: payload.k]) != payload.baseline_top
 
 
 def _change_probability(
@@ -114,7 +100,7 @@ def _change_probability(
         k=k,
         seed=seed,
     )
-    return sum(run_payload_trials(_attribute_trial, payload, trials, backend)) / trials
+    return sum(run_payload_trials(run_attribute_kernel, payload, trials, backend)) / trials
 
 
 def per_attribute_stability(
@@ -135,9 +121,10 @@ def per_attribute_stability(
     table:
         The (already preprocessed) data being ranked.
     scorer:
-        The linear scoring function under audit.
+        The linear scoring function under audit; its type must be
+        exactly :class:`~repro.ranking.scoring.LinearScoringFunction`.
     id_column:
-        Item identifier column.
+        Item identifier column; its ids must be unique.
     k:
         Top-k whose composition defines "the ranking changed".
     trials:
@@ -160,6 +147,7 @@ def per_attribute_stability(
         raise StabilityError(f"trials must be >= 1, got {trials}")
     if not 0.0 < probability <= 1.0:
         raise StabilityError(f"probability must be in (0, 1], got {probability}")
+    require_plain_linear_scorer(scorer)
     baseline = rank_table(table, scorer, id_column)
     baseline_top = frozenset(baseline.item_ids()[: min(k, baseline.size)])
     k = min(k, baseline.size)

@@ -8,14 +8,12 @@ smallest jitter at which the top-k is more likely than not to change —
 a direct reading of the paper's "extent of the change required for the
 ranking to change".
 
-The trial itself is a module-level function over a plain payload
-(:func:`_perturbation_trial` / :class:`PerturbationTrialPayload`), so
-the loop can run on any :class:`~repro.engine.backends.TrialBackend` —
-including remote workers over the cluster wire — with byte-identical
-results.  On the ``vectorized`` backend the whole batch collapses into
-one array program (:func:`repro.stability.kernels.run_perturbation_kernel`):
-same RNG streams, same accumulation order, same bytes, no per-trial
-re-ranking.
+The trials run as one array program over a plain payload
+(:func:`repro.stability.kernels.run_perturbation_kernel` /
+:class:`PerturbationTrialPayload`), so a batch runs on any
+:class:`~repro.engine.backends.TrialBackend` — including remote workers
+over the cluster wire — with byte-identical results: per-trial RNG
+streams, the scorer's accumulation order, no per-trial re-ranking.
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import StabilityError
-from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import run_payload_trials, trial_rng
+from repro.stability.kernels import require_plain_linear_scorer, run_perturbation_kernel
+from repro.stability.montecarlo import run_payload_trials
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -82,15 +80,13 @@ class PerturbationOutcome:
 
 @dataclass(frozen=True)
 class PerturbationTrialPayload:
-    """Everything one weight-jitter trial needs, as picklable plain data.
+    """Everything a weight-jitter trial batch needs, as picklable plain data.
 
-    The scorer travels as the object itself (the repo's scorers pickle
-    cleanly), so subclass behaviour survives the cluster wire.  The
-    jitter draws one uniform per weight in the scorer's declaration
-    order, which is what keeps batched and sharded results
-    byte-identical to serial ones.  The baseline travels as its item-id sequence, not a
-    full :class:`Ranking` — shipping the latter would pickle the table
-    a second time per chunk.
+    The jitter draws one uniform per weight in the scorer's declaration
+    order, which is what keeps sharded results byte-identical to
+    unsharded ones.  The baseline travels as its item-id sequence, not
+    a full :class:`Ranking` — shipping the latter would pickle the
+    table a second time per chunk.
     """
 
     table: Table
@@ -103,40 +99,6 @@ class PerturbationTrialPayload:
     seed: int
 
 
-def _jittered_scorer(
-    scorer: LinearScoringFunction, epsilon: float, rng: np.random.Generator
-) -> LinearScoringFunction:
-    weights = scorer.weights
-    deltas = {
-        attr: float(rng.uniform(-epsilon, epsilon) * abs(w)) if w != 0.0
-        # zero weights jitter on the scale of the average weight, so a
-        # zeroed-out attribute can still re-enter under perturbation
-        else float(
-            rng.uniform(-epsilon, epsilon)
-            * float(np.mean([abs(v) for v in weights.values()]))
-        )
-        for attr, w in weights.items()
-    }
-    return scorer.perturbed(deltas)
-
-
-def _perturbation_trial(
-    payload: PerturbationTrialPayload, trial: int
-) -> tuple[float, float, bool]:
-    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
-    rng = trial_rng(payload.seed, trial)
-    perturbed = rank_table(
-        payload.table, _jittered_scorer(payload.scorer, payload.epsilon, rng),
-        payload.id_column,
-    )
-    perturbed_ids = perturbed.item_ids()
-    return (
-        kendall_tau_ids(payload.baseline_ids, perturbed_ids),
-        top_k_overlap_ids(payload.baseline_ids, perturbed_ids, payload.k),
-        set(perturbed_ids[: payload.k]) != payload.baseline_top,
-    )
-
-
 class WeightPerturbationStability:
     """Monte-Carlo weight-jitter stability for linear scoring functions.
 
@@ -145,7 +107,8 @@ class WeightPerturbationStability:
     table:
         The (already preprocessed) data being ranked.
     scorer:
-        The linear scoring function under audit.
+        The linear scoring function under audit; its type must be
+        exactly :class:`~repro.ranking.scoring.LinearScoringFunction`.
     id_column:
         Column identifying items (needed to track movement).
     k:
@@ -180,7 +143,7 @@ class WeightPerturbationStability:
         if id_column not in table:
             raise StabilityError(f"id column {id_column!r} not in table")
         self._table = table
-        self._scorer = scorer
+        self._scorer = require_plain_linear_scorer(scorer)
         self._id_column = id_column
         self._k = k
         self._trials = trials
@@ -206,15 +169,12 @@ class WeightPerturbationStability:
             seed=self._seed,
         )
 
-    def _run_trial(self, epsilon: float, trial: int) -> tuple[float, float, bool]:
-        return _perturbation_trial(self._payload_at(epsilon), trial)
-
     def assess_at(self, epsilon: float) -> PerturbationOutcome:
         """Run the Monte-Carlo loop at one perturbation magnitude."""
         if epsilon < 0.0:
             raise StabilityError(f"epsilon must be non-negative, got {epsilon}")
         outcomes = run_payload_trials(
-            _perturbation_trial, self._payload_at(epsilon), self._trials,
+            run_perturbation_kernel, self._payload_at(epsilon), self._trials,
             self._backend,
         )
         taus = [tau for tau, _, _ in outcomes]

@@ -8,13 +8,10 @@ order of 5% of natural variation").  Re-ranking under noise yields the
 same movement metrics as the weight-perturbation estimator, and the two
 are directly comparable in the A1 ablation benchmark.
 
-As with the other estimators, the trial is a module-level function
-over a plain payload so any :class:`~repro.engine.backends.TrialBackend`
-(including remote workers) reproduces the serial results byte-for-byte —
-and the ``vectorized`` backend batches the whole value-noise tensor
-into one array program
-(:func:`repro.stability.kernels.run_uncertainty_kernel`) whenever the
-scorer is a plain linear one.
+As with the other estimators, the trials run as one array program over
+a plain payload (:func:`repro.stability.kernels.run_uncertainty_kernel`),
+so any :class:`~repro.engine.backends.TrialBackend` (including remote
+workers) reproduces the same results byte-for-byte.
 """
 
 from __future__ import annotations
@@ -25,12 +22,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import StabilityError
-from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
-from repro.ranking.scoring import ScoringFunction
-from repro.stability.montecarlo import run_payload_trials, trial_rng
+from repro.ranking.scoring import LinearScoringFunction
+from repro.stability.kernels import require_plain_linear_scorer, run_uncertainty_kernel
+from repro.stability.montecarlo import run_payload_trials
 from repro.stability.perturbation import PerturbationOutcome
-from repro.tabular.column import NumericColumn
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -41,17 +37,17 @@ __all__ = ["DataUncertaintyStability", "UncertaintyTrialPayload"]
 
 @dataclass(frozen=True)
 class UncertaintyTrialPayload:
-    """Everything one attribute-noise trial needs, as picklable data.
+    """Everything an attribute-noise trial batch needs, as picklable data.
 
     ``attribute_stds`` keeps the scorer's attribute order: noise is
-    drawn per attribute *in that order*, which is what keeps batched
-    and sharded results byte-identical to serial ones.  The baseline travels as its
-    item-id sequence, not a full :class:`Ranking` — shipping the latter
-    would pickle the table a second time per chunk.
+    drawn per attribute *in that order*, which is what keeps sharded
+    results byte-identical to unsharded ones.  The baseline travels as
+    its item-id sequence, not a full :class:`Ranking` — shipping the
+    latter would pickle the table a second time per chunk.
     """
 
     table: Table
-    scorer: ScoringFunction
+    scorer: LinearScoringFunction
     id_column: str
     baseline_ids: tuple
     baseline_top: frozenset
@@ -61,55 +57,20 @@ class UncertaintyTrialPayload:
     seed: int
 
 
-def _noisy_table(
-    table: Table,
-    attribute_stds: tuple[tuple[str, float], ...],
-    epsilon: float,
-    rng: np.random.Generator,
-) -> Table:
-    noisy = table
-    for attr, std in attribute_stds:
-        if std == 0.0:
-            continue  # constant attribute: noise would invent variation
-        column = table.numeric_column(attr)
-        values = column.values.copy()
-        mask = ~np.isnan(values)
-        values[mask] += rng.normal(0.0, epsilon * std, size=int(mask.sum()))
-        noisy = noisy.with_column(NumericColumn(attr, values))
-    return noisy
-
-
-def _uncertainty_trial(
-    payload: UncertaintyTrialPayload, trial: int
-) -> tuple[float, float, bool]:
-    """One Monte-Carlo draw; module-level so the remote wire can ship it."""
-    rng = trial_rng(payload.seed, trial)
-    perturbed = rank_table(
-        _noisy_table(payload.table, payload.attribute_stds, payload.epsilon, rng),
-        payload.scorer,
-        payload.id_column,
-    )
-    perturbed_ids = perturbed.item_ids()
-    return (
-        kendall_tau_ids(payload.baseline_ids, perturbed_ids),
-        top_k_overlap_ids(payload.baseline_ids, perturbed_ids, payload.k),
-        set(perturbed_ids[: payload.k]) != payload.baseline_top,
-    )
-
-
 class DataUncertaintyStability:
     """Monte-Carlo attribute-noise stability.
 
-    Works with any :class:`~repro.ranking.scoring.ScoringFunction`
-    (not just linear ones): noise is injected into the table, not the
-    weights.
+    Noise is injected into the table, not the weights.  The scorer must
+    be exactly a :class:`~repro.ranking.scoring.LinearScoringFunction`:
+    the trial kernel accumulates its weighted sum directly, and a
+    subclass could score differently.
 
     Parameters
     ----------
     table:
         The (already preprocessed) data being ranked.
     scorer:
-        The scoring function under audit.
+        The linear scoring function under audit.
     id_column:
         Column identifying items.
     k:
@@ -122,9 +83,7 @@ class DataUncertaintyStability:
         RNG seed; fixed by default so labels are reproducible.
     backend:
         Optional :class:`~repro.engine.backends.TrialBackend` the trials
-        of each ``assess_at`` run on; ``None`` runs them inline.  The
-        remote backend pickles the scorer, which the repo's scorers
-        allow.
+        of each ``assess_at`` run on; ``None`` runs them inline.
     """
 
     name = "data uncertainty"
@@ -132,7 +91,7 @@ class DataUncertaintyStability:
     def __init__(
         self,
         table: Table,
-        scorer: ScoringFunction,
+        scorer: LinearScoringFunction,
         id_column: str,
         k: int = 10,
         trials: int = 50,
@@ -146,7 +105,7 @@ class DataUncertaintyStability:
         if id_column not in table:
             raise StabilityError(f"id column {id_column!r} not in table")
         self._table = table
-        self._scorer = scorer
+        self._scorer = require_plain_linear_scorer(scorer)
         self._id_column = id_column
         self._k = k
         self._trials = trials
@@ -183,15 +142,12 @@ class DataUncertaintyStability:
             seed=self._seed,
         )
 
-    def _run_trial(self, epsilon: float, trial: int) -> tuple[float, float, bool]:
-        return _uncertainty_trial(self._payload_at(epsilon), trial)
-
     def assess_at(self, epsilon: float) -> PerturbationOutcome:
         """Run the Monte-Carlo loop at one noise magnitude."""
         if epsilon < 0.0:
             raise StabilityError(f"epsilon must be non-negative, got {epsilon}")
         outcomes = run_payload_trials(
-            _uncertainty_trial, self._payload_at(epsilon), self._trials,
+            run_uncertainty_kernel, self._payload_at(epsilon), self._trials,
             self._backend,
         )
         taus = [tau for tau, _, _ in outcomes]

@@ -160,7 +160,7 @@ class TestWorkerCommand:
         args = build_parser().parse_args(["worker"])
         assert args.command == "worker"
         assert args.port == 8101
-        assert args.backend == "vectorized"
+        assert not hasattr(args, "backend")  # chunks always run vectorized
 
     def test_worker_refuses_remote_backend_choice(self):
         with pytest.raises(SystemExit):
@@ -173,7 +173,7 @@ class TestWorkerCommand:
         }}]}))
         code = main([
             "batch", "--spec", str(spec),
-            "--trial-backend", "serial", "--workers-from", "env",
+            "--trial-backend", "vectorized", "--workers-from", "env",
         ])
         assert code == 2
         assert "--trial-backend remote" in capsys.readouterr().err
@@ -239,7 +239,10 @@ class TestWorkerCommand:
         spec.write_text(json.dumps(BATCH_SPEC))
         for argv in (
             ["batch", "--spec", str(spec), "--trial-backend", "process"],
+            ["batch", "--spec", str(spec), "--trial-backend", "serial"],
+            ["serve", "--trial-backend", "serial"],
             ["worker", "--backend", "thread"],
+            ["worker", "--backend", "serial"],
             ["worker", "--workers", "2"],
         ):
             with pytest.raises(SystemExit) as exit_info:
@@ -311,7 +314,7 @@ class TestRegistryAndFleetCommands:
         spec.write_text(json.dumps(BATCH_SPEC))
         code = main([
             "batch", "--spec", str(spec),
-            "--trial-backend", "serial",
+            "--trial-backend", "vectorized",
             "--registry", "http://127.0.0.1:8100",
         ])
         assert code == 2

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from repro.app.cli import main
+from repro.datasets.loaders import dataset_by_name
+from repro.engine import LabelDesign, LabelService
+from repro.label.render_json import render_json
+from tests.oracles import OracleTrialBackend
 
 DESIGN = {
     "weights": {"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2},
@@ -102,21 +106,25 @@ class TestTrialBackendFlag:
         spec = write_spec(
             tmp_path, [{"dataset": "cs-departments", "design": self.MC_DESIGN}]
         )
-        serial_dir = tmp_path / "serial"
         vector_dir = tmp_path / "vectorized"
-        assert main([
-            "batch", "--spec", str(spec), "--output-dir", str(serial_dir),
-            "--trial-backend", "serial",
-        ]) == 0
+        # the scalar loop is a test oracle, no longer a backend name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--spec", str(spec), "--trial-backend", "serial"])
+        assert exit_info.value.code == 2
         assert main([
             "batch", "--spec", str(spec), "--output-dir", str(vector_dir),
             "--trial-backend", "vectorized", "--stats",
         ]) == 0
         out = capsys.readouterr().out
         assert "trials on the vectorized backend" in out
-        serial_bytes = (serial_dir / "job-0.json").read_text(encoding="utf-8")
+        with LabelService(use_cache=False, trial_backend=OracleTrialBackend()) as svc:
+            oracle = svc.build_label(
+                dataset_by_name("cs-departments"),
+                LabelDesign.from_mapping(self.MC_DESIGN),
+                "cs-departments",
+            )
         vector_bytes = (vector_dir / "job-0.json").read_text(encoding="utf-8")
-        assert serial_bytes == vector_bytes
+        assert vector_bytes == render_json(oracle.facts.label) + "\n"
 
     def test_unknown_backend_rejected_by_the_parser(self, tmp_path, capsys):
         spec = write_spec(tmp_path, [{"dataset": "cs-departments", "design": DESIGN}])

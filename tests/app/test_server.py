@@ -188,11 +188,15 @@ class TestPostEndpoints:
 
 class TestTrialBackendEnv:
     def test_env_var_selects_the_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIAL_BACKEND", "serial")
+        monkeypatch.setenv("REPRO_TRIAL_BACKEND", "vectorized")
         with make_server() as handle:
             executor = handle.registry.service.stats()["executor"]
-            assert executor["trial_backend"] == "serial"
-            assert executor["trial_backend_effective"] == "serial"
+            assert executor["trial_backend"] == "vectorized"
+            assert executor["trial_backend_effective"] == "vectorized"
+        # the scalar loop is a test oracle, no longer a backend name
+        monkeypatch.setenv("REPRO_TRIAL_BACKEND", "serial")
+        with pytest.raises(EngineError, match="unknown trial backend 'serial'"):
+            make_server()
 
     def test_unknown_env_backend_fails_at_startup(self, monkeypatch):
         for name in ("quantum", "thread", "process"):

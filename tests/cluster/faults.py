@@ -24,7 +24,7 @@ faults instead of re-implementing them:
 
 Every fault here shapes *scheduling* only.  The determinism contract
 (chunks execute at absolute trial indices) means a label computed
-under any combination of these faults is byte-identical to serial —
+under any combination of these faults is byte-identical to a local run —
 which is exactly what the tests assert.
 """
 
@@ -55,16 +55,19 @@ __all__ = [
 ]
 
 
-def boom_trial(payload, trial):
-    """A genuinely buggy trial — module-level so it crosses the wire."""
+def boom_trial(payload, trials, start):
+    """A genuinely buggy trial batch — module-level so it crosses the wire."""
     raise ValueError("bad trial")
 
 
-def chaos_trial(payload, trial):
-    """A deterministic trial slow enough to be mid-flight when a worker
-    dies — module-level so subprocess workers can unpickle it."""
-    time.sleep(payload.get("delay", 0.0))
-    return float(payload["base"] + trial) * 0.5
+def chaos_trial(payload, trials, start):
+    """A deterministic trial batch slow enough to be mid-flight when a
+    worker dies — module-level so subprocess workers can unpickle it."""
+    results = []
+    for trial in range(start, start + trials):
+        time.sleep(payload.get("delay", 0.0))
+        results.append(float(payload["base"] + trial) * 0.5)
+    return results
 
 
 def dead_address() -> str:

@@ -22,8 +22,8 @@ from repro.telemetry import (
 from tests.cluster.faults import faulty_worker
 
 
-def plus(payload, trial):
-    return payload["base"] + trial
+def plus(payload, trials, start):
+    return [payload["base"] + t for t in range(start, start + trials)]
 
 
 def span_dict(name="worker.chunk", **overrides):
@@ -88,7 +88,7 @@ class TestWorkerBackhaul:
         return wire.encode_request(body, start, stop, trace_id)
 
     def test_traced_chunk_backhauls_its_span(self):
-        worker = TrialWorker(backend="serial", registry=MetricsRegistry())
+        worker = TrialWorker(registry=MetricsRegistry())
         trace = new_trace_id()
         response = worker.run_chunk(self.request(trace))
         results, spans = wire.decode_response_spans(response, 0, 4)
@@ -100,16 +100,14 @@ class TestWorkerBackhaul:
         assert worker.stats()["backhauled_spans"] == len(spans)
 
     def test_untraced_chunk_backhauls_nothing(self):
-        worker = TrialWorker(backend="serial", registry=MetricsRegistry())
+        worker = TrialWorker(registry=MetricsRegistry())
         response = worker.run_chunk(self.request(None))
         _, spans = wire.decode_response_spans(response, 0, 4)
         assert spans == []
         assert worker.stats()["backhauled_spans"] == 0
 
     def test_backhaul_can_be_disabled(self):
-        worker = TrialWorker(
-            backend="serial", registry=MetricsRegistry(), span_backhaul=False
-        )
+        worker = TrialWorker(registry=MetricsRegistry(), span_backhaul=False)
         response = worker.run_chunk(self.request(new_trace_id()))
         _, spans = wire.decode_response_spans(response, 0, 4)
         assert spans == []
@@ -117,7 +115,7 @@ class TestWorkerBackhaul:
     def test_backhauled_spans_stay_out_of_the_process_ring(self):
         ring = get_trace_buffer()
         before = ring.completed
-        worker = TrialWorker(backend="serial", registry=MetricsRegistry())
+        worker = TrialWorker(registry=MetricsRegistry())
         worker.run_chunk(self.request(new_trace_id()))
         # the chunk's spans went into the capture, not the shared ring —
         # a parentless worker.chunk there would finalize traces early

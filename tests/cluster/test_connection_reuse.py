@@ -13,7 +13,7 @@ from repro.cluster.coordinator import RemoteTrialBackend, WorkerClient
 from repro.cluster.worker import make_worker
 from tests.cluster.test_wire import square
 
-EXPECTED_20 = [square({"base": 7}, t) for t in range(20)]
+EXPECTED_20 = square({"base": 7}, 20, 0)
 
 
 class TestPersistentConnection:

@@ -23,7 +23,7 @@ from repro.errors import ClusterError
 from tests.cluster.conftest import dead_address, faulty_worker
 from tests.cluster.test_wire import square
 
-EXPECTED_20 = [square({"base": 7}, t) for t in range(20)]
+EXPECTED_20 = square({"base": 7}, 20, 0)
 
 
 class TestAddressSources:
@@ -83,7 +83,7 @@ class TestDegradedFallback:
         one, two = worker_pair
         backend = RemoteTrialBackend([one.address, two.address], probe_timeout=2)
         payload = {"base": 7, "poison": threading.Lock()}
-        expected = [square(payload, t) for t in range(6)]
+        expected = square(payload, 6, 0)
         assert backend.run(square, payload, 6) == expected
         assert "not picklable" in backend.stats()["fallback_reason"]
         backend.shutdown()
@@ -188,9 +188,7 @@ class TestFaultInjection:
         assert backend.stats()["workers_alive"] == 0
         revived = make_worker(host=host, port=int(port)).start()
         try:
-            assert backend.run(square, {"base": 7}, 8) == [
-                square({"base": 7}, t) for t in range(8)
-            ]
+            assert backend.run(square, {"base": 7}, 8) == square({"base": 7}, 8, 0)
             assert backend.stats()["workers_alive"] == 1
             backend.shutdown()
         finally:

@@ -55,7 +55,7 @@ def _connect(handle) -> http.client.HTTPConnection:
 #: that reads a request body
 DAEMONS = {
     "server": (lambda: make_server(metrics_registry=MetricsRegistry()), "/health", "/session"),
-    "worker": (lambda: make_worker(backend="serial"), "/healthz", "/trials"),
+    "worker": (lambda: make_worker(), "/healthz", "/trials"),
     "registry": (make_registry, "/healthz", "/register"),
 }
 
@@ -130,14 +130,14 @@ def _assert_one_write(connection, writes, method, path, body=None):
 
 class TestKeepAliveLatency:
     def test_worker_healthz_and_stats(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             p50 = _keepalive_p50_ms(
                 handle, [("GET", "/healthz", None), ("GET", "/stats", None)]
             )
         assert p50 < KEEPALIVE_P50_MS, f"worker keep-alive p50 {p50:.1f} ms"
 
     def test_worker_trial_chunks(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             p50 = _keepalive_p50_ms(handle, [("POST", "/trials", _chunk_request(0, 4))])
         assert p50 < KEEPALIVE_P50_MS, f"worker chunk p50 {p50:.1f} ms"
 
@@ -153,7 +153,7 @@ class TestKeepAliveLatency:
 
 class TestOneWritePerResponse:
     def test_worker_responses(self):
-        handle = make_worker(backend="serial")
+        handle = make_worker()
         writes, nodelay = _spy_on_writes(handle)
         with handle:
             connection = _connect(handle)
@@ -164,9 +164,7 @@ class TestOneWritePerResponse:
                 connection, writes, "POST", "/trials", _chunk_request(2, 6)
             )
             assert response.getheader("Content-Type") == "application/octet-stream"
-            assert wire.decode_response(payload, 2, 6) == [
-                square({"base": 3}, t) for t in range(2, 6)
-            ]
+            assert wire.decode_response(payload, 2, 6) == square({"base": 3}, 4, 2)
             response, _ = _assert_one_write(
                 connection, writes, "POST", "/trials", b"not a frame"
             )
@@ -199,7 +197,7 @@ class TestOneWritePerResponse:
         assert nodelay and all(nodelay)
 
     def test_http_09_request_gets_the_bare_body(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             host, port = handle.address.rsplit(":", 1)
             with socket.create_connection((host, int(port)), timeout=10) as sock:
                 sock.sendall(b"GET /healthz\r\n\r\n")
@@ -246,7 +244,7 @@ class TestClientGoneMidResponse:
         "frame", [_chunk_request(0, 4), b"not a frame"], ids=["chunk", "bad-frame"]
     )
     def test_worker_ends_the_connection_quietly(self, capsys, frame):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             entered, release, handle.worker.run_chunk = _gated(handle.worker.run_chunk)
             _reset_mid_response(handle, entered, release, (
                 b"POST /trials HTTP/1.1\r\nHost: worker\r\n"
@@ -340,7 +338,7 @@ DAEMON_COMMANDS = {
         "--weight", "GRE=1.0", "--sensitive", "DeptSizeBin",
         "--id-column", "DeptName", "--port", "0",
     ],
-    "worker": ["repro.cluster.worker", "--port", "0", "--backend", "serial"],
+    "worker": ["repro.cluster.worker", "--port", "0"],
     "registry": ["repro.cluster.registry", "--port", "0"],
 }
 

@@ -39,7 +39,7 @@ from tests.cluster.faults import (
 )
 from tests.cluster.test_wire import square
 
-EXPECTED_20 = [square({"base": 7}, t) for t in range(20)]
+EXPECTED_20 = square({"base": 7}, 20, 0)
 
 #: the documented retry/failover contract per failure class
 RETRY_CONTRACT = {

@@ -25,7 +25,7 @@ from tests.cluster.faults import (
 )
 from tests.cluster.test_wire import square
 
-EXPECTED_20 = [square({"base": 7}, t) for t in range(20)]
+EXPECTED_20 = square({"base": 7}, 20, 0)
 
 
 def fleet_backend(registry, **kwargs):
@@ -170,9 +170,7 @@ class TestFailurePolicyIntegration:
                 [flaky],
                 policy=FailurePolicy(breaker_threshold=1, reprobe_interval=3600),
             )
-            assert backend.run(square, {"base": 7}, 8) == [
-                square({"base": 7}, t) for t in range(8)
-            ]
+            assert backend.run(square, {"base": 7}, 8) == square({"base": 7}, 8, 0)
             stats = backend.stats()
             assert stats["breakers_open"] == 1
             breaker = stats["workers"][0]["breaker"]
@@ -205,9 +203,7 @@ class TestFailurePolicyIntegration:
             )
             backend.run(square, {"base": 7}, 8)
             first_opened = backend.stats()["workers"][0]["breaker"]["opened"]
-            assert backend.run(square, {"base": 7}, 8) == [
-                square({"base": 7}, t) for t in range(8)
-            ]
+            assert backend.run(square, {"base": 7}, 8) == square({"base": 7}, 8, 0)
             stats = backend.stats()
             breaker = stats["workers"][0]["breaker"]
             assert breaker["opened"] > first_opened  # probe chunk failed again
@@ -225,9 +221,7 @@ class TestFailurePolicyIntegration:
             probe_timeout=1,
         )
         try:
-            assert backend.run(square, {"base": 7}, 8) == [
-                square({"base": 7}, t) for t in range(8)
-            ]
+            assert backend.run(square, {"base": 7}, 8) == square({"base": 7}, 8, 0)
             kill_worker(worker)
             backend.run(square, {"base": 7}, 8)  # fails; breaker opens
             assert backend.stats()["workers"][0]["breaker"]["state"] != "closed"
@@ -256,9 +250,7 @@ class TestFailurePolicyIntegration:
                     retry_budget=0,
                 ),
             )
-            assert backend.run(square, {"base": 7}, 8) == [
-                square({"base": 7}, t) for t in range(8)
-            ]
+            assert backend.run(square, {"base": 7}, 8) == square({"base": 7}, 8, 0)
             stats = backend.stats()
             assert stats["budget_exhausted_runs"] == 1
             assert stats["retries_spent"] == 0

@@ -6,7 +6,7 @@ self-register with ``--register``; there is no static worker list
 anywhere), a coordinator runs a batch against whatever the registry
 advertises, one worker is SIGKILLed mid-batch, and a replacement
 registers before the run ends.  The batch must complete with results
-byte-identical to serial, and the coordinator's breaker metrics must
+byte-identical to a local run, and the coordinator's breaker metrics must
 show the death being noticed (``repro_cluster_breaker_state`` /
 ``repro_cluster_breaker_transitions_total``).
 
@@ -94,7 +94,6 @@ class TestFleetChaos:
                 procs.append(_spawn(
                     "repro.cluster.worker",
                     "--port", str(port),
-                    "--backend", "serial",
                     "--register", registry_url,
                     "--heartbeat-ttl", "2",
                 ))
@@ -141,7 +140,6 @@ class TestFleetChaos:
             procs.append(_spawn(
                 "repro.cluster.worker",
                 "--port", str(replacement_port),
-                "--backend", "serial",
                 "--register", registry_url,
                 "--heartbeat-ttl", "2",
             ))
@@ -150,7 +148,7 @@ class TestFleetChaos:
             batch.join(timeout=120)
             assert not batch.is_alive(), "batch never finished"
             assert not errors, f"batch raised: {errors}"
-            assert results == EXPECTED  # byte-identical to serial
+            assert results == EXPECTED  # byte-identical to a local run
 
             # a second batch proves the reshaped fleet (survivor +
             # replacement) serves remotely, with identical bytes again

@@ -27,13 +27,16 @@ from tests.cluster.conftest import half_closed_worker
 from tests.cluster.test_remote_backend import DESIGN, jittered_table
 from tests.cluster.test_wire import square
 
-EXPECTED_20 = [square({"base": 7}, t) for t in range(20)]
+EXPECTED_20 = square({"base": 7}, 20, 0)
 
 
-def slow_square(payload, trial):
-    """A trial slow enough that serial vs overlapped dispatch differs."""
-    time.sleep(payload["delay"])
-    return payload["base"] + trial * trial
+def slow_square(payload, trials, start):
+    """Trials slow enough that one-at-a-time vs overlapped dispatch differs."""
+    results = []
+    for trial in range(start, start + trials):
+        time.sleep(payload["delay"])
+        results.append(payload["base"] + trial * trial)
+    return results
 
 
 class TestEncodeRequest:
@@ -190,7 +193,7 @@ class TestOverlappingDispatch:
             [one.address, two.address], probe_timeout=2, chunk_size=5
         )
         payload = {"base": 7, "delay": 0.05}
-        expected = [slow_square(payload, t) for t in range(20)]
+        expected = [payload["base"] + t * t for t in range(20)]
         started = time.perf_counter()
         assert backend.run(slow_square, payload, 20) == expected
         elapsed = time.perf_counter() - started

@@ -1,8 +1,8 @@
 """The acceptance criteria for the remote trial backend.
 
 - labels and estimator outcomes on a >= 2-worker cluster are
-  byte-identical to serial for equal seeds, across all three stability
-  estimators;
+  byte-identical to the per-trial oracle (``tests.oracles``) for equal
+  seeds, across all three stability estimators;
 - a worker killed mid-batch is transparently retried, the failover is
   counted in ``GET /engine/stats``, and the final label is unchanged;
 - the backend wires through ``LabelService`` / ``REPRO_TRIAL_BACKEND``
@@ -28,6 +28,7 @@ from repro.stability import (
 )
 from repro.tabular import Table
 from tests.cluster.conftest import faulty_worker
+from tests.oracles import OracleTrialBackend
 
 SCORER = LinearScoringFunction({"a": 0.5, "b": 0.5})
 
@@ -64,11 +65,13 @@ def cluster(worker_pair):
 
 
 class TestEstimatorsByteIdentical:
-    """All three estimators, serial vs a 2-worker cluster."""
+    """All three estimators, the per-trial oracle vs a 2-worker cluster."""
 
     def test_weight_perturbation(self, cluster):
         table = jittered_table()
-        serial = WeightPerturbationStability(table, SCORER, "name", trials=8, seed=5)
+        serial = WeightPerturbationStability(
+            table, SCORER, "name", trials=8, seed=5, backend=OracleTrialBackend()
+        )
         remote = WeightPerturbationStability(
             table, SCORER, "name", trials=8, seed=5, backend=cluster
         )
@@ -78,7 +81,9 @@ class TestEstimatorsByteIdentical:
 
     def test_data_uncertainty(self, cluster):
         table = jittered_table()
-        serial = DataUncertaintyStability(table, SCORER, "name", trials=8, seed=5)
+        serial = DataUncertaintyStability(
+            table, SCORER, "name", trials=8, seed=5, backend=OracleTrialBackend()
+        )
         remote = DataUncertaintyStability(
             table, SCORER, "name", trials=8, seed=5, backend=cluster
         )
@@ -88,7 +93,8 @@ class TestEstimatorsByteIdentical:
     def test_per_attribute(self, cluster):
         table = jittered_table()
         serial = per_attribute_stability(
-            table, SCORER, "name", trials=6, iterations=3, seed=5
+            table, SCORER, "name", trials=6, iterations=3, seed=5,
+            backend=OracleTrialBackend(),
         )
         remote = per_attribute_stability(
             table, SCORER, "name", trials=6, iterations=3, seed=5,
@@ -137,7 +143,7 @@ class TestServiceIntegration:
 
     def test_remote_backend_does_not_change_the_cache_key(self, cluster):
         table = jittered_table(n=24, seed=3, group=True)
-        with LabelService(trial_backend="serial") as svc:
+        with LabelService(trial_backend=OracleTrialBackend()) as svc:
             a = svc.build_label(table, DESIGN, "mc")
         with LabelService(trial_backend=cluster) as svc:
             b = svc.build_label(table, DESIGN, "mc")
@@ -153,7 +159,7 @@ class TestServiceIntegration:
         assert backend.stats()["workers_configured"] == 2
         from tests.cluster.test_wire import square
 
-        expected = [square({"base": 7}, t) for t in range(8)]
+        expected = square({"base": 7}, 8, 0)
         assert backend.run(square, {"base": 7}, 8) == expected
         assert backend.stats()["chunks_remote"] > 0
         backend.shutdown()
@@ -169,7 +175,7 @@ class TestServiceIntegration:
             with make_worker(register_url=registry.url):
                 backend = resolve_trial_backend("remote")
                 assert isinstance(backend, RemoteTrialBackend)
-                expected = [square({"base": 7}, t) for t in range(8)]
+                expected = square({"base": 7}, 8, 0)
                 assert backend.run(square, {"base": 7}, 8) == expected
                 stats = backend.stats()
                 assert stats["remote_runs"] == 1

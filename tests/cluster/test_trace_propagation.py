@@ -23,8 +23,8 @@ from repro.telemetry import (
 )
 
 
-def plus(payload, trial):
-    return payload["base"] + trial
+def plus(payload, trials, start):
+    return [payload["base"] + t for t in range(start, start + trials)]
 
 
 @pytest.fixture()

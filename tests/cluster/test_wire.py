@@ -13,8 +13,8 @@ from repro.cluster import wire
 from repro.errors import ClusterError
 
 
-def square(payload, trial):
-    return payload["base"] + trial * trial
+def square(payload, trials, start):
+    return [payload["base"] + t * t for t in range(start, start + trials)]
 
 
 class TestRoundTrip:
@@ -92,6 +92,18 @@ class TestRejection:
         # rewrite the version field (bytes 4-6, big-endian u16)
         data[4:6] = struct.pack(">H", wire.PROTOCOL_VERSION + 1)
         with pytest.raises(ClusterError, match="protocol version mismatch"):
+            wire.decode_request(bytes(data))
+
+    def test_v1_frame_is_refused(self):
+        """Major 1 shipped a per-trial ``fn(payload, trial)``; an end that
+        calls ``fn(payload, trials, start)`` must refuse it, not run it."""
+        assert wire.PROTOCOL_VERSION == 2
+        data = bytearray(self._request())
+        data[4:6] = struct.pack(">H", 1)
+        with pytest.raises(
+            ClusterError,
+            match="protocol version mismatch: frame is v1, this end speaks v2",
+        ):
             wire.decode_request(bytes(data))
 
     def test_corrupted_body_fails_the_fingerprint(self):

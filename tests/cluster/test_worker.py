@@ -1,16 +1,19 @@
 """Tests for repro.cluster.worker: the trial-daemon's HTTP contract."""
 
+import argparse
 import json
+import struct
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.cluster import wire
-from repro.cluster.worker import TrialWorker, make_worker
-from repro.engine.backends import SerialTrialBackend, run_trial_span
+from repro.cluster.worker import TrialWorker, add_worker_arguments, make_worker
+from repro.engine.backends import VectorizedTrialBackend
 from repro.errors import ClusterError
 from tests.cluster.test_wire import square
+from tests.oracles import OracleTrialBackend
 
 
 def _get_json(url):
@@ -36,14 +39,12 @@ def _chunk_request(start, stop, payload=None):
 
 class TestTrialWorkerCore:
     def test_run_chunk_executes_the_span_at_absolute_indices(self):
-        worker = TrialWorker(backend="serial")
+        worker = TrialWorker()
         response = worker.run_chunk(_chunk_request(3, 7))
-        assert wire.decode_response(response, 3, 7) == [
-            square({"base": 3}, t) for t in range(3, 7)
-        ]
+        assert wire.decode_response(response, 3, 7) == [12, 19, 28, 39]
 
     def test_bad_frame_counts_as_rejected(self):
-        worker = TrialWorker(backend="serial")
+        worker = TrialWorker()
         with pytest.raises(ClusterError):
             worker.run_chunk(b"garbage")
         assert worker.stats()["rejected_frames"] == 1
@@ -52,19 +53,33 @@ class TestTrialWorkerCore:
     def test_trial_error_counts_and_propagates(self):
         from tests.cluster.conftest import boom_trial
 
-        worker = TrialWorker(backend="serial")
+        worker = TrialWorker()
         body = wire.encode_trial_work(boom_trial, {})
         with pytest.raises(ValueError, match="bad trial"):
             worker.run_chunk(wire.encode_request(body, 0, 2))
         assert worker.stats()["trial_errors"] == 1
 
+    def test_v1_frame_is_refused_and_counted(self):
+        """A v1 peer ships per-trial functions: refuse, never run them."""
+        data = bytearray(_chunk_request(0, 4))
+        data[4:6] = struct.pack(">H", 1)
+        worker = TrialWorker()
+        with pytest.raises(ClusterError, match="frame is v1"):
+            worker.run_chunk(bytes(data))
+        assert worker.stats()["rejected_frames"] == 1
+        assert worker.stats()["trials"] == 0
+
     def test_remote_backend_is_refused(self):
-        # a worker relaying to more workers would recurse
-        with pytest.raises(ClusterError, match="remote"):
-            TrialWorker(backend="remote")
+        # a worker relaying to more workers would recurse; no worker
+        # option chooses a backend at all: chunks run vectorized
+        parser = argparse.ArgumentParser()
+        add_worker_arguments(parser)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--backend", "remote"])
+        assert TrialWorker().health()["backend"] == "vectorized"
 
     def test_health_reports_protocol_and_backend(self):
-        worker = TrialWorker()  # default backend: vectorized
+        worker = TrialWorker()
         health = worker.health()
         assert health["status"] == "ok"
         assert health["protocol"] == wire.PROTOCOL_VERSION
@@ -73,7 +88,7 @@ class TestTrialWorkerCore:
 
 class TestWorkerHTTP:
     def test_healthz_and_stats(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             status, health = _get_json(handle.url + "/healthz")
             assert status == 200
             assert health["protocol"] == wire.PROTOCOL_VERSION
@@ -82,18 +97,16 @@ class TestWorkerHTTP:
             assert stats["chunks"] == 0
 
     def test_trials_roundtrip_over_http(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             status, raw = _post_trials(handle.url, _chunk_request(2, 6))
             assert status == 200
-            assert wire.decode_response(raw, 2, 6) == [
-                square({"base": 3}, t) for t in range(2, 6)
-            ]
+            assert wire.decode_response(raw, 2, 6) == square({"base": 3}, 4, 2)
             _, stats = _get_json(handle.url + "/stats")
             assert stats["chunks"] == 1
             assert stats["trials"] == 4
 
     def test_bad_frame_is_http_400(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post_trials(handle.url, b"not a frame")
             assert excinfo.value.code == 400
@@ -101,20 +114,20 @@ class TestWorkerHTTP:
     def test_trial_fault_is_http_500(self):
         from tests.cluster.conftest import boom_trial
 
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             body = wire.encode_trial_work(boom_trial, {})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post_trials(handle.url, wire.encode_request(body, 0, 2))
             assert excinfo.value.code == 500
 
     def test_unknown_paths_are_404(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get_json(handle.url + "/nope")
             assert excinfo.value.code == 404
 
     def test_draining_worker_answers_healthz_503(self):
-        with make_worker(backend="serial") as handle:
+        with make_worker() as handle:
             status, _ = _get_json(handle.url + "/healthz")
             assert status == 200
             # shutdown begins: probes must see "leaving", not a socket
@@ -132,7 +145,7 @@ class TestWorkerHTTP:
             assert stats["draining"] is True
 
     def test_drain_state_in_health_document(self):
-        worker = TrialWorker(backend="serial")
+        worker = TrialWorker()
         assert worker.health()["status"] == "ok"
         assert worker.draining is False
         worker.begin_drain()
@@ -141,23 +154,22 @@ class TestWorkerHTTP:
 
 
 class TestRunTrialSpan:
-    """The span helper every worker chunk goes through."""
+    """``run_span``: how every worker chunk and local recovery runs."""
 
     def test_span_matches_the_full_run_slice(self):
-        backend = SerialTrialBackend()
-        full = [square({"base": 3}, t) for t in range(12)]
-        assert run_trial_span(backend, square, {"base": 3}, 0, 12) == full
-        assert run_trial_span(backend, square, {"base": 3}, 5, 9) == full[5:9]
-        assert run_trial_span(backend, square, {"base": 3}, 11, 12) == full[11:]
+        full = [3 + t * t for t in range(12)]
+        for backend in (VectorizedTrialBackend(), OracleTrialBackend()):
+            assert backend.run_span(square, {"base": 3}, 0, 12) == full
+            assert backend.run_span(square, {"base": 3}, 5, 9) == full[5:9]
+            assert backend.run_span(square, {"base": 3}, 11, 12) == full[11:]
 
     def test_empty_span_is_empty(self):
-        backend = SerialTrialBackend()
-        assert run_trial_span(backend, square, {"base": 3}, 4, 4) == []
+        for backend in (VectorizedTrialBackend(), OracleTrialBackend()):
+            assert backend.run_span(square, {"base": 3}, 4, 4) == []
 
     def test_vectorized_span_uses_absolute_rng_streams(self):
         import numpy as np
 
-        from repro.engine.backends import VectorizedTrialBackend
         from repro.ranking import LinearScoringFunction
         from repro.stability import WeightPerturbationStability
         from repro.tabular import Table
@@ -175,12 +187,10 @@ class TestRunTrialSpan:
             table, scorer, "name", trials=10, seed=5
         )
         payload = estimator._payload_at(0.1)
-        from repro.stability.perturbation import _perturbation_trial
+        from repro.stability.kernels import run_perturbation_kernel
+        from tests.oracles import _perturbation_trial
 
         serial = [_perturbation_trial(payload, t) for t in range(10)]
         backend = VectorizedTrialBackend()
-        assert (
-            run_trial_span(backend, _perturbation_trial, payload, 3, 8)
-            == serial[3:8]
-        )
-        assert backend.kernel_runs == 1  # the span hit the kernel, not scalar
+        assert backend.run_span(run_perturbation_kernel, payload, 3, 8) == serial[3:8]
+        assert backend.kernel_runs == 1

@@ -2,11 +2,11 @@
 
 The acceptance-critical properties live here:
 
-- only ``serial``, ``vectorized`` and ``remote`` resolve, on any host;
-- labels built on the vectorized backend are byte-identical to serial
-  labels for equal seeds;
-- the vectorized backend falls back per run to the scalar loop for work
-  it has no kernel for, recording the reason for the stats endpoint.
+- only ``vectorized`` and ``remote`` resolve, on any host;
+- labels built on the vectorized backend are byte-identical to labels
+  built on the per-trial oracle (``tests.oracles``) for equal seeds;
+- the vectorized backend runs every batch function it is handed, and
+  counts the batches for the stats endpoint.
 """
 
 import os
@@ -18,12 +18,11 @@ from repro.cluster.coordinator import RemoteTrialBackend, _chunk_spans
 from repro.engine import LabelDesign, LabelService
 from repro.engine.backends import (
     BACKEND_NAMES,
-    SerialTrialBackend,
     TrialBackend,
     VectorizedTrialBackend,
     resolve_trial_backend,
 )
-from repro.errors import EngineError
+from repro.errors import EngineError, RankingError
 from repro.label.render_json import render_json
 from repro.ranking import LinearScoringFunction
 from repro.stability import (
@@ -33,11 +32,12 @@ from repro.stability import (
 )
 from repro.stability.montecarlo import run_payload_trials
 from repro.tabular import Table
+from tests.oracles import OracleTrialBackend
 
 
-def _square_trial(payload, trial):
-    """Module-level (hence picklable) trial function for the unit tests."""
-    return payload["base"] + trial * trial
+def _square_trial(payload, trials, start):
+    """Module-level (hence picklable) batch function for the unit tests."""
+    return [payload["base"] + t * t for t in range(start, start + trials)]
 
 
 def jittered_table(n=30, seed=11):
@@ -62,7 +62,10 @@ class TestResolution:
                 resolve_trial_backend(name)
 
     def test_serial_by_name(self):
-        assert isinstance(resolve_trial_backend("serial"), SerialTrialBackend)
+        # the scalar loop is a test oracle now, not a backend
+        assert BACKEND_NAMES == ("vectorized", "remote")
+        with pytest.raises(EngineError, match="unknown trial backend 'serial'"):
+            resolve_trial_backend("serial")
 
     def test_vectorized_by_name(self):
         assert isinstance(resolve_trial_backend("vectorized"), VectorizedTrialBackend)
@@ -104,14 +107,14 @@ class TestChunking:
 
 
 class TestRunOrdering:
-    """Every backend returns results in trial order, serial-identical."""
+    """Every backend returns results in trial order, oracle-identical."""
 
     def expected(self, trials=12):
-        return [_square_trial({"base": 7}, t) for t in range(trials)]
+        return [7 + t * t for t in range(trials)]
 
     def test_serial(self):
-        backend = SerialTrialBackend()
-        assert backend.run(_square_trial, {"base": 7}, 12) == self.expected()
+        assert OracleTrialBackend().run(_square_trial, {"base": 7}, 12) == self.expected()
+        assert VectorizedTrialBackend().run(_square_trial, {"base": 7}, 12) == self.expected()
 
     def test_run_payload_trials_inline_matches_backends(self):
         inline = run_payload_trials(_square_trial, {"base": 7}, 12)
@@ -121,7 +124,7 @@ class TestRunOrdering:
 class TestBackendsMatchSerialEstimates:
     """The three estimators give identical results on every local backend."""
 
-    BACKENDS = (SerialTrialBackend, VectorizedTrialBackend)
+    BACKENDS = (OracleTrialBackend, VectorizedTrialBackend)
 
     def test_weight_perturbation(self):
         table = jittered_table()
@@ -178,10 +181,10 @@ class TestServiceIntegration:
         )
 
     def test_service_reports_requested_and_effective_backend(self):
-        with LabelService(trial_backend="serial") as svc:
+        with LabelService(trial_backend="vectorized") as svc:
             executor = svc.stats()["executor"]
-            assert executor["trial_backend"] == "serial"
-            assert executor["trial_backend_effective"] == "serial"
+            assert executor["trial_backend"] == "vectorized"
+            assert executor["trial_backend_effective"] == "vectorized"
             assert executor["trial_backend_fallback"] is None
             assert executor["parallel_trials"] is False
 
@@ -192,7 +195,7 @@ class TestServiceIntegration:
             backend.run(_square_trial, {"base": 0}, 2)
             executor = svc.stats()["executor"]
             assert executor["trial_backend"] == "remote"
-            assert executor["trial_backend_effective"] == "serial"
+            assert executor["trial_backend_effective"] == "vectorized"
             assert "no workers configured" in executor["trial_backend_fallback"]
             assert executor["parallel_trials"] is False
 
@@ -203,7 +206,7 @@ class TestServiceIntegration:
     def test_backend_does_not_change_the_cache_key(self):
         """Execution detail must not fragment the content-addressed cache."""
         table = self.mc_table()
-        with LabelService(trial_backend="serial") as svc:
+        with LabelService(trial_backend=OracleTrialBackend()) as svc:
             a = svc.build_label(table, self.DESIGN, "mc")
         with LabelService(trial_backend=RemoteTrialBackend([])) as svc:
             b = svc.build_label(table, self.DESIGN, "mc")
@@ -211,57 +214,71 @@ class TestServiceIntegration:
 
 
 class TestVectorizedBackend:
-    """Kernel dispatch, per-run fallback, and stats visibility."""
+    """Batch dispatch, per-run error isolation, and stats visibility."""
 
-    def test_non_kernel_work_runs_inline_with_reason(self):
+    def test_any_batch_function_runs_as_is(self):
         backend = VectorizedTrialBackend()
         assert backend.run(_square_trial, {"base": 7}, 12) == [
-            _square_trial({"base": 7}, t) for t in range(12)
+            7 + t * t for t in range(12)
         ]
-        assert backend.kernel_runs == 0
-        assert backend.scalar_runs == 1
-        assert "no vectorized kernel" in backend.fallback_reason
-        assert backend.effective_name == "serial"  # nothing vectorized yet
+        assert backend.run_span(_square_trial, {"base": 7}, 3, 5) == [16, 23]
+        assert backend.kernel_runs == 2
+        assert backend.effective_name == "vectorized"
 
     def test_dispatch_is_per_run_not_sticky(self):
-        table = jittered_table()
+        """A batch that raises does not stop the next one running."""
+        duplicated = Table.from_dict(
+            {"name": ["x", "x", "y"], "a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]}
+        )
         backend = VectorizedTrialBackend()
-        backend.run(_square_trial, {"base": 7}, 4)  # declined
+        broken = WeightPerturbationStability(
+            duplicated, SCORER, "name", trials=6, seed=5, backend=backend
+        )
+        with pytest.raises(RankingError, match="unique item ids"):
+            broken.assess_at(0.1)
+        table = jittered_table()
         estimator = WeightPerturbationStability(
             table, SCORER, "name", trials=6, seed=5, backend=backend
         )
-        serial = WeightPerturbationStability(table, SCORER, "name", trials=6, seed=5)
-        assert estimator.assess_at(0.1) == serial.assess_at(0.1)
-        assert backend.kernel_runs == 1  # the decline did not stick
-        assert backend.effective_name == "vectorized"
+        oracle = WeightPerturbationStability(
+            table, SCORER, "name", trials=6, seed=5, backend=OracleTrialBackend()
+        )
+        assert estimator.assess_at(0.1) == oracle.assess_at(0.1)
+        assert backend.kernel_runs == 1  # only the batch that returned
 
     def test_estimators_identical_on_vectorized_backend(self):
         table = jittered_table()
         backend = VectorizedTrialBackend()
-        serial = WeightPerturbationStability(table, SCORER, "name", trials=8, seed=5)
+        oracle = OracleTrialBackend()
+        serial = WeightPerturbationStability(
+            table, SCORER, "name", trials=8, seed=5, backend=oracle
+        )
         vectorized = WeightPerturbationStability(
             table, SCORER, "name", trials=8, seed=5, backend=backend
         )
         for epsilon in (0.0, 0.05, 0.3):
             assert serial.assess_at(epsilon) == vectorized.assess_at(epsilon)
-        serial_u = DataUncertaintyStability(table, SCORER, "name", trials=8, seed=5)
+        serial_u = DataUncertaintyStability(
+            table, SCORER, "name", trials=8, seed=5, backend=oracle
+        )
         vectorized_u = DataUncertaintyStability(
             table, SCORER, "name", trials=8, seed=5, backend=backend
         )
         for epsilon in (0.0, 0.1, 0.5):
             assert serial_u.assess_at(epsilon) == vectorized_u.assess_at(epsilon)
         assert per_attribute_stability(
-            table, SCORER, "name", trials=6, iterations=3, seed=5
+            table, SCORER, "name", trials=6, iterations=3, seed=5, backend=oracle
         ) == per_attribute_stability(
             table, SCORER, "name", trials=6, iterations=3, seed=5, backend=backend
         )
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
     def test_vectorized_labels_byte_identical_to_serial(self):
         """The acceptance criterion, end to end through the service."""
         table = TestServiceIntegration.mc_table()
         design = TestServiceIntegration.DESIGN
-        serial = design.builder_for(table, dataset_name="mc").build()
+        with LabelService(use_cache=False, trial_backend=OracleTrialBackend()) as svc:
+            serial = svc.build_label(table, design, "mc").facts
         with LabelService(use_cache=False, trial_backend="vectorized") as svc:
             outcome = svc.build_label(table, design, "mc")
             executor = svc.stats()["executor"]
@@ -269,23 +286,14 @@ class TestVectorizedBackend:
         assert executor["trial_backend"] == "vectorized"
         assert executor["trial_backend_effective"] == "vectorized"
         assert executor["trial_kernel_runs"] > 0
-        assert executor["trial_scalar_fallbacks"] == 0
+        assert executor["trial_backend_fallback"] is None
         # batched, not worker-parallel: must not read as a pool
         assert executor["parallel_trials"] is False
-
-    def test_stats_surface_kernel_fallback_reason(self):
-        with LabelService(trial_backend="vectorized") as svc:
-            backend = svc.executor.trial_backend()
-            backend.run(_square_trial, {"base": 0}, 2)
-            executor = svc.stats()["executor"]
-        assert executor["trial_backend_effective"] == "serial"
-        assert "no vectorized kernel" in executor["trial_backend_fallback"]
-        assert executor["trial_scalar_fallbacks"] == 1
 
     def test_backend_does_not_change_the_cache_key(self):
         table = TestServiceIntegration.mc_table()
         design = TestServiceIntegration.DESIGN
-        with LabelService(trial_backend="serial") as svc:
+        with LabelService(trial_backend=OracleTrialBackend()) as svc:
             a = svc.build_label(table, design, "mc")
         with LabelService(trial_backend="vectorized") as svc:
             b = svc.build_label(table, design, "mc")

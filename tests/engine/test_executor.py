@@ -55,7 +55,7 @@ class TestSubmissionCounters:
         assert stats["jobs_submitted"] == 3
 
     def test_stats_shape(self, executor):
-        # the default backend is vectorized, which adds its two counters
+        # the default backend is vectorized, which adds its batch counter
         assert set(executor.stats()) == {
             "max_workers",
             "parallel_trials",
@@ -67,7 +67,6 @@ class TestSubmissionCounters:
             "jobs_submitted",
             "tasks_submitted",
             "trial_kernel_runs",
-            "trial_scalar_fallbacks",
         }
 
     def test_default_backend_is_vectorized(self, executor):

@@ -5,7 +5,7 @@ The three acceptance-critical properties live here:
 - a repeated request for an unchanged design performs zero rebuilds;
 - sessions never cross-contaminate (distinct designs, distinct labels);
 - parallel Monte-Carlo trials are seed-deterministic and byte-identical
-  to the serial path.
+  to the per-trial oracle (``tests.oracles``).
 """
 
 import threading
@@ -22,6 +22,7 @@ from repro.engine import (
 )
 from repro.errors import EngineError, RankingFactsError
 from repro.label.render_json import render_json
+from tests.oracles import OracleTrialBackend
 
 WEIGHTS = {"PubCount": 0.4, "Faculty": 0.4, "GRE": 0.2}
 
@@ -141,7 +142,10 @@ class TestSessionIntegration:
 class TestParallelMonteCarlo:
     def test_parallel_trials_byte_identical_to_serial(self, cs_table):
         mc = design(monte_carlo_trials=6, monte_carlo_epsilons=(0.05, 0.2))
-        with LabelService(use_cache=False, trial_backend="serial") as svc:
+        # the per-trial loop survives only as the test oracle
+        with pytest.raises(EngineError, match="unknown trial backend 'serial'"):
+            LabelService(trial_backend="serial")
+        with LabelService(use_cache=False, trial_backend=OracleTrialBackend()) as svc:
             serial = svc.build_label(cs_table, mc, "cs")
         with LabelService(use_cache=False, trial_backend="vectorized") as svc:
             vectorized = svc.build_label(cs_table, mc, "cs")

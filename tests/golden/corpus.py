@@ -78,8 +78,10 @@ def ties_and_nans_table():
 def cases() -> list[dict]:
     """Every pinned case.
 
-    Each dataset on ``vectorized``, plus ``serial`` on one; then FA*IR
-    at k in {10, 100} and two alphas, and Spearman over ties and NaNs.
+    Each dataset on ``vectorized``, plus ``serial`` on one: the
+    per-trial scalar oracle (``tests.oracles.OracleTrialBackend``), under
+    the name its pins were made with.  Then FA*IR at k in {10, 100} and
+    two alphas, and Spearman over ties and NaNs.
     """
     grid = [(dataset, "vectorized") for dataset in DESIGNS]
     grid.append(("cs-departments", "serial"))
@@ -137,6 +139,7 @@ def label_digests(case_list: list[dict]) -> dict[str, str]:
     from repro.engine.jobs import LabelDesign
     from repro.engine.service import LabelService
     from repro.label.render_json import render_json
+    from tests.oracles import OracleTrialBackend
 
     tables: dict = {}
     services: dict = {}
@@ -150,7 +153,10 @@ def label_digests(case_list: list[dict]) -> dict[str, str]:
                     else dataset_by_name(dataset)
                 )
             if backend not in services:
-                services[backend] = LabelService(use_cache=False, trial_backend=backend)
+                services[backend] = LabelService(
+                    use_cache=False,
+                    trial_backend=OracleTrialBackend() if backend == "serial" else backend,
+                )
             outcome = services[backend].build_label(
                 tables[dataset], LabelDesign.from_mapping(case["design"]), dataset
             )

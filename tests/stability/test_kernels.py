@@ -1,12 +1,12 @@
 """Tests for repro.stability.kernels: vectorized trial batches.
 
-The acceptance-critical property lives here: for every payload a
-kernel accepts, its batch result is **byte-identical** to running the
-scalar trial function over ``range(trials)`` — across seeds, k, and
-epsilon, for all three estimators.  Payloads a kernel cannot reproduce
-exactly (non-linear scorers, duplicate ids, inconsistent baselines)
-must be declined with a reason so the ``vectorized`` backend can fall
-back to the scalar path.
+The acceptance-critical property lives here: each kernel's batch
+result is **byte-identical** to running the scalar trial function it
+replaced (``tests.oracles``) over ``range(trials)`` — across seeds, k,
+and epsilon, for all three estimators.  Where the scalar path raises,
+the kernel raises the same error type with the same message; a
+non-linear scorer or a baseline that disagrees with its table raises
+``StabilityError``.
 """
 
 from dataclasses import replace
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.datasets import synthetic_scores_table
 from repro.engine.backends import VectorizedTrialBackend
+from repro.errors import RankingError, StabilityError, WeightError
 from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction, ScoringFunction
 from repro.stability import (
@@ -30,18 +31,20 @@ from repro.stability import (
 from repro.stability.kernels import (
     _movement_outcomes,
     dispatch_kernel,
-    kernel_for,
     run_attribute_kernel,
     run_perturbation_kernel,
     run_uncertainty_kernel,
 )
-from repro.stability.per_attribute import AttributeTrialPayload, _attribute_trial
-from repro.stability.perturbation import (
-    PerturbationTrialPayload,
-    _perturbation_trial,
-)
-from repro.stability.uncertainty import UncertaintyTrialPayload, _uncertainty_trial
+from repro.stability.per_attribute import AttributeTrialPayload
+from repro.stability.perturbation import PerturbationTrialPayload
+from repro.stability.uncertainty import UncertaintyTrialPayload
 from repro.tabular import Table
+from tests.oracles import (
+    OracleTrialBackend,
+    _attribute_trial,
+    _perturbation_trial,
+    _uncertainty_trial,
+)
 
 WEIGHTS = {"attr_1": 0.5, "attr_2": 0.3, "attr_3": 0.2}
 
@@ -58,12 +61,26 @@ def mc_table(n=60, seed=11):
 
 
 def scalar_batch(fn, payload, trials, start=0):
-    """The reference: the scalar trial function, run serially."""
+    """The reference: the scalar trial function, one trial at a time."""
     return [fn(payload, start + t) for t in range(trials)]
 
 
+def error_of(call, *args):
+    """``(type, message)`` of what ``call(*args)`` raises."""
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    return type(caught.value), str(caught.value)
+
+
+def assert_raises_like_oracle(kernel, oracle, payload, trials=4, start=0):
+    """The kernel raises exactly the error the scalar trial raises."""
+    expected = error_of(scalar_batch, oracle, payload, trials, start)
+    assert error_of(kernel, payload, trials, start) == expected
+    return expected
+
+
 class SubclassedLinear(LinearScoringFunction):
-    """A linear subclass that overrides scoring — kernels must decline it."""
+    """A linear subclass that overrides scoring — the estimators refuse it."""
 
     def score_table(self, table):
         return super().score_table(table) + 1.0
@@ -85,7 +102,7 @@ class CubeScorer(ScoringFunction):
 
 
 class TestByteIdentityViaEstimators:
-    """Estimator outcomes on the vectorized backend == serial outcomes."""
+    """Estimator outcomes on the vectorized backend == oracle outcomes."""
 
     @pytest.mark.parametrize("seed", [0, 7, 20180610])
     @pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.25])
@@ -95,13 +112,14 @@ class TestByteIdentityViaEstimators:
         backend = VectorizedTrialBackend()
         for k in (1, 5, 200):  # 200 > n exercises the clamped prefix
             serial = WeightPerturbationStability(
-                table, scorer, "item", k=k, trials=16, seed=seed
+                table, scorer, "item", k=k, trials=16, seed=seed,
+                backend=OracleTrialBackend(),
             )
             vectorized = WeightPerturbationStability(
                 table, scorer, "item", k=k, trials=16, seed=seed, backend=backend
             )
             assert serial.assess_at(epsilon) == vectorized.assess_at(epsilon)
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
@@ -111,13 +129,14 @@ class TestByteIdentityViaEstimators:
         backend = VectorizedTrialBackend()
         for k in (3, 10):
             serial = DataUncertaintyStability(
-                table, scorer, "item", k=k, trials=16, seed=seed
+                table, scorer, "item", k=k, trials=16, seed=seed,
+                backend=OracleTrialBackend(),
             )
             vectorized = DataUncertaintyStability(
                 table, scorer, "item", k=k, trials=16, seed=seed, backend=backend
             )
             assert serial.assess_at(epsilon) == vectorized.assess_at(epsilon)
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_per_attribute(self, seed):
@@ -125,14 +144,14 @@ class TestByteIdentityViaEstimators:
         scorer = LinearScoringFunction(WEIGHTS)
         backend = VectorizedTrialBackend()
         serial = per_attribute_stability(
-            table, scorer, "item", k=8, trials=8, iterations=4, seed=seed
+            table, scorer, "item", k=8, trials=8, iterations=4, seed=seed,
+            backend=OracleTrialBackend(),
         )
         vectorized = per_attribute_stability(
             table, scorer, "item", k=8, trials=8, iterations=4, seed=seed,
             backend=backend,
         )
         assert serial == vectorized
-        assert backend.scalar_runs == 0
         assert backend.kernel_runs > 0
 
     def test_per_attribute_without_id_column(self):
@@ -141,14 +160,15 @@ class TestByteIdentityViaEstimators:
         scorer = LinearScoringFunction(WEIGHTS)
         backend = VectorizedTrialBackend()
         serial = per_attribute_stability(
-            table, scorer, None, k=8, trials=6, iterations=3, seed=1
+            table, scorer, None, k=8, trials=6, iterations=3, seed=1,
+            backend=OracleTrialBackend(),
         )
         vectorized = per_attribute_stability(
             table, scorer, None, k=8, trials=6, iterations=3, seed=1,
             backend=backend,
         )
         assert serial == vectorized
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
     def test_zero_weight_attribute_jitters_identically(self):
         """The mean-|w| rescue for zero weights must match draw-for-draw."""
@@ -156,13 +176,14 @@ class TestByteIdentityViaEstimators:
         scorer = LinearScoringFunction({"attr_1": 0.7, "attr_2": 0.0, "attr_3": 0.3})
         backend = VectorizedTrialBackend()
         serial = WeightPerturbationStability(
-            table, scorer, "item", k=5, trials=12, seed=4
+            table, scorer, "item", k=5, trials=12, seed=4,
+            backend=OracleTrialBackend(),
         )
         vectorized = WeightPerturbationStability(
             table, scorer, "item", k=5, trials=12, seed=4, backend=backend
         )
         assert serial.assess_at(0.3) == vectorized.assess_at(0.3)
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
     @pytest.mark.parametrize("policy", ["zero", "propagate"])
     def test_missing_values_both_policies(self, policy):
@@ -176,20 +197,22 @@ class TestByteIdentityViaEstimators:
         scorer = LinearScoringFunction({"a": 0.6, "b": 0.4}, missing_policy=policy)
         backend = VectorizedTrialBackend()
         serial = WeightPerturbationStability(
-            table, scorer, "name", k=5, trials=10, seed=6
+            table, scorer, "name", k=5, trials=10, seed=6,
+            backend=OracleTrialBackend(),
         )
         vectorized = WeightPerturbationStability(
             table, scorer, "name", k=5, trials=10, seed=6, backend=backend
         )
         assert serial.assess_at(0.2) == vectorized.assess_at(0.2)
         serial_u = DataUncertaintyStability(
-            table, scorer, "name", k=5, trials=10, seed=6
+            table, scorer, "name", k=5, trials=10, seed=6,
+            backend=OracleTrialBackend(),
         )
         vectorized_u = DataUncertaintyStability(
             table, scorer, "name", k=5, trials=10, seed=6, backend=backend
         )
         assert serial_u.assess_at(0.2) == vectorized_u.assess_at(0.2)
-        assert backend.scalar_runs == 0
+        assert backend.kernel_runs > 0
 
 
 class TestKernelsMatchScalarTrialFunctions:
@@ -562,53 +585,44 @@ class TestFusedMovementKernel:
 
 
 class TestFallbackDispatch:
-    """Ineligible work is declined with a reason, never computed wrong."""
+    """Dispatch is a plain call; what a kernel cannot rank, it raises."""
 
     def test_unknown_trial_function(self):
-        results, reason = dispatch_kernel(lambda payload, trial: 0, {}, 3)
-        assert results is None
-        assert "no vectorized kernel" in reason
+        """Any batch function runs as is, at the span's absolute indices."""
+        def spans(payload, trials, start):
+            return list(range(start, start + trials))
+
+        assert dispatch_kernel(spans, {}, 3, 5) == [5, 6, 7]
+        assert dispatch_kernel(spans, {}, 2) == [0, 1]
 
     def test_payload_type_mismatch(self):
-        results, reason = dispatch_kernel(_perturbation_trial, {"not": "it"}, 3)
-        assert results is None
-        assert "does not match" in reason
+        with pytest.raises(AttributeError):
+            dispatch_kernel(run_perturbation_kernel, {"not": "it"}, 3)
 
-    def test_kernel_for_registry(self):
-        assert kernel_for(_perturbation_trial) is run_perturbation_kernel
-        assert kernel_for(_uncertainty_trial) is run_uncertainty_kernel
-        assert kernel_for(_attribute_trial) is run_attribute_kernel
-        assert kernel_for(print) is None
-
-    def test_linear_subclass_declined_but_results_match(self):
-        """A subclass may override score_table — fall back, stay correct."""
+    def test_linear_subclass_rejected(self):
+        """A subclass may override score_table: every estimator refuses it."""
         table = mc_table(n=30)
         scorer = SubclassedLinear(WEIGHTS)
-        backend = VectorizedTrialBackend()
-        serial = WeightPerturbationStability(
-            table, scorer, "item", k=5, trials=8, seed=2
+        message = "scorer SubclassedLinear is not a plain LinearScoringFunction"
+        with pytest.raises(StabilityError, match=message):
+            WeightPerturbationStability(table, scorer, "item", k=5, trials=8)
+        with pytest.raises(StabilityError, match=message):
+            DataUncertaintyStability(table, scorer, "item", k=5, trials=8)
+        with pytest.raises(StabilityError, match=message):
+            per_attribute_stability(table, scorer, "item", k=5, trials=8)
+        payload = replace(
+            WeightPerturbationStability(
+                table, LinearScoringFunction(WEIGHTS), "item", k=5, trials=8
+            )._payload_at(0.1),
+            scorer=scorer,
         )
-        vectorized = WeightPerturbationStability(
-            table, scorer, "item", k=5, trials=8, seed=2, backend=backend
-        )
-        assert serial.assess_at(0.1) == vectorized.assess_at(0.1)
-        assert backend.kernel_runs == 0
-        assert backend.scalar_runs == 1
-        assert "LinearScoringFunction" in backend.fallback_reason
+        with pytest.raises(StabilityError, match=message):
+            run_perturbation_kernel(payload, 4)
 
-    def test_nonlinear_scorer_declined_but_results_match(self):
+    def test_nonlinear_scorer_rejected(self):
         table = mc_table(n=30)
-        scorer = CubeScorer("attr_1")
-        backend = VectorizedTrialBackend()
-        serial = DataUncertaintyStability(
-            table, scorer, "item", k=5, trials=8, seed=2
-        )
-        vectorized = DataUncertaintyStability(
-            table, scorer, "item", k=5, trials=8, seed=2, backend=backend
-        )
-        assert serial.assess_at(0.2) == vectorized.assess_at(0.2)
-        assert backend.kernel_runs == 0
-        assert backend.scalar_runs == 1
+        with pytest.raises(StabilityError, match="scorer CubeScorer is not a plain"):
+            DataUncertaintyStability(table, CubeScorer("attr_1"), "item", k=5, trials=8)
 
     def test_duplicate_ids_declined(self):
         table = Table.from_dict(
@@ -629,9 +643,9 @@ class TestFallbackDispatch:
             epsilon=0.1,
             seed=1,
         )
-        results, reason = dispatch_kernel(_perturbation_trial, payload, 4)
-        assert results is None
-        assert "unique" in reason
+        assert assert_raises_like_oracle(
+            run_perturbation_kernel, _perturbation_trial, payload
+        ) == (RankingError, "rank comparison requires unique item ids")
 
     def test_inconsistent_baseline_declined(self):
         """A payload whose baseline lies about its table must not be trusted."""
@@ -641,16 +655,167 @@ class TestFallbackDispatch:
             table, scorer, "item", k=5, trials=4, seed=1
         )
         genuine = estimator._payload_at(0.1)
-        doctored = PerturbationTrialPayload(
-            table=genuine.table,
-            scorer=genuine.scorer,
-            id_column=genuine.id_column,
-            baseline_ids=tuple(reversed(genuine.baseline_ids)),
-            baseline_top=genuine.baseline_top,
-            k=genuine.k,
-            epsilon=genuine.epsilon,
-            seed=genuine.seed,
+        doctored = replace(genuine, baseline_ids=tuple(reversed(genuine.baseline_ids)))
+        with pytest.raises(StabilityError, match="baseline_ids do not match"):
+            dispatch_kernel(run_perturbation_kernel, doctored, 4)
+        wrong_top = replace(genuine, baseline_top=frozenset(genuine.baseline_ids[-5:]))
+        with pytest.raises(StabilityError, match="baseline_top does not match"):
+            dispatch_kernel(run_perturbation_kernel, wrong_top, 4)
+
+
+def perturbation_payload(table, scorer, id_column="item", k=3, epsilon=0.1, seed=1):
+    """A perturbation payload whose baseline is ranked by the scalar path."""
+    ids = rank_table(table, scorer, id_column).item_ids()
+    return PerturbationTrialPayload(
+        table=table, scorer=scorer, id_column=id_column,
+        baseline_ids=tuple(ids), baseline_top=frozenset(ids[:k]),
+        k=k, epsilon=epsilon, seed=seed,
+    )
+
+
+def zero_draw_rng(seed, trial):
+    """A trial stream whose every uniform is its lower bound."""
+
+    class Lowest:
+        def uniform(self, low, high):
+            return low
+
+    return Lowest()
+
+
+class TestKernelsRaiseTheScalarErrors:
+    """One test per input the kernels once handed back to the scalar loop."""
+
+    def small_table(self, n=6, ids=None):
+        rng = np.random.default_rng(4)
+        return Table.from_dict({
+            "item": ids if ids is not None else [f"i{j}" for j in range(n)],
+            "a": rng.normal(0, 1, n), "b": rng.normal(0, 1, n),
+            "label": ["x"] * n,
+        })
+
+    SCORER = LinearScoringFunction({"a": 0.6, "b": 0.4})
+
+    def each_kernel(self, table, k=3, id_column="item", scorer=None):
+        """(kernel, oracle, payload) for all three kernels on one table."""
+        scorer = scorer or self.SCORER
+        perturbation = perturbation_payload(table, scorer, id_column, k)
+        uncertainty = UncertaintyTrialPayload(
+            table=table, scorer=scorer, id_column=id_column,
+            baseline_ids=perturbation.baseline_ids,
+            baseline_top=perturbation.baseline_top,
+            attribute_stds=(("a", 1.0), ("b", 1.0)), k=k, epsilon=0.1, seed=1,
         )
-        results, reason = dispatch_kernel(_perturbation_trial, doctored, 4)
-        assert results is None
-        assert "baseline" in reason
+        attribute = AttributeTrialPayload(
+            table=table, scorer=scorer, attribute="a", epsilon=0.1, scale=0.6,
+            id_column=id_column, baseline_top=perturbation.baseline_top, k=k,
+            seed=1,
+        )
+        return [
+            (run_perturbation_kernel, _perturbation_trial, perturbation),
+            (run_uncertainty_kernel, _uncertainty_trial, uncertainty),
+            (run_attribute_kernel, _attribute_trial, attribute),
+        ]
+
+    def test_missing_id_column(self):
+        for kernel, oracle, payload in self.each_kernel(self.small_table()):
+            payload = replace(payload, id_column="absent")
+            assert assert_raises_like_oracle(kernel, oracle, payload) == (
+                RankingError, "id column 'absent' not in table"
+            )
+
+    def test_duplicate_ids(self):
+        """Perturbation and uncertainty compare ids; per-attribute now refuses
+        them too, where the scalar probe silently ranked duplicates."""
+        table = self.small_table(ids=["x", "x", "y", "z", "w", "v"])
+        expected = (RankingError, "rank comparison requires unique item ids")
+        for kernel, oracle, payload in self.each_kernel(table):
+            if kernel is run_attribute_kernel:
+                assert error_of(kernel, payload, 4, 0) == expected
+                assert isinstance(scalar_batch(oracle, payload, 4), list)
+            else:
+                assert assert_raises_like_oracle(kernel, oracle, payload) == expected
+
+    def test_per_attribute_stability_refuses_duplicate_ids(self):
+        table = self.small_table(ids=["x", "x", "y", "z", "w", "v"])
+        backend = VectorizedTrialBackend()
+        with pytest.raises(RankingError, match="requires unique item ids"):
+            per_attribute_stability(
+                table, self.SCORER, "item", k=2, trials=4, backend=backend
+            )
+        with pytest.raises(RankingError, match="requires unique item ids"):
+            WeightPerturbationStability(table, self.SCORER, "item").assess_at(0.1)
+
+    def test_too_few_items(self):
+        table = self.small_table(n=1)
+        for kernel, oracle, payload in self.each_kernel(table)[:2]:
+            assert assert_raises_like_oracle(kernel, oracle, payload) == (
+                RankingError, "rank comparison needs at least 2 common items, found 1"
+            )
+
+    def test_empty_table(self):
+        table = self.small_table()
+        empty = table.take(np.array([], dtype=np.int64))
+        assert empty.num_rows == 0
+        for kernel, oracle, payload in self.each_kernel(table):
+            assert_raises_like_oracle(kernel, oracle, replace(payload, table=empty))
+
+    def test_k_below_one(self):
+        for kernel, oracle, payload in self.each_kernel(self.small_table())[:2]:
+            payload = replace(payload, k=0)
+            assert assert_raises_like_oracle(kernel, oracle, payload) == (
+                RankingError, "top_k_overlap needs k >= 1, got 0"
+            )
+
+    def test_attribute_kernel_k_below_one_raises_the_estimator_error(self):
+        """The scalar probe ranked k = 0; the kernel refuses it as
+        per_attribute_stability always has."""
+        _, _, payload = self.each_kernel(self.small_table())[2]
+        with pytest.raises(StabilityError, match="k must be >= 1, got 0"):
+            run_attribute_kernel(replace(payload, k=0), 4)
+        with pytest.raises(StabilityError, match="k must be >= 1, got 0"):
+            per_attribute_stability(self.small_table(), self.SCORER, "item", k=0)
+
+    def test_unknown_jittered_attribute(self):
+        _, _, payload = self.each_kernel(self.small_table())[2]
+        assert assert_raises_like_oracle(
+            run_attribute_kernel, _attribute_trial, replace(payload, attribute="zz")
+        ) == (WeightError, "perturbed() got unknown attribute(s): zz")
+
+    @pytest.mark.parametrize("attribute", ["absent", "label"])
+    def test_unusable_scoring_attribute(self, attribute):
+        scorer = LinearScoringFunction({"a": 0.6, attribute: 0.4})
+        table = self.small_table()
+        for kernel, oracle, payload in self.each_kernel(table):
+            assert_raises_like_oracle(kernel, oracle, replace(payload, scorer=scorer))
+
+    @pytest.mark.parametrize("attribute", ["absent", "label"])
+    def test_unusable_noisy_attribute(self, attribute):
+        _, _, payload = self.each_kernel(self.small_table())[1]
+        payload = replace(payload, attribute_stds=(("a", 1.0), (attribute, 1.0)))
+        assert_raises_like_oracle(run_uncertainty_kernel, _uncertainty_trial, payload)
+
+    def test_all_zero_weight_draw(self, monkeypatch):
+        """A draw that zeroes every weight raises the scorer's WeightError."""
+        import repro.stability.kernels as kernels
+        import tests.oracles as oracles
+
+        monkeypatch.setattr(kernels, "trial_rng", zero_draw_rng)
+        monkeypatch.setattr(oracles, "trial_rng", zero_draw_rng)
+        table = self.small_table()
+        expected = (WeightError, "all weights are zero; the ranking would be arbitrary")
+        # epsilon 1: every weight w moves by -|w|, to exactly zero
+        perturbation = replace(
+            perturbation_payload(table, LinearScoringFunction({"a": 0.6, "b": 0.4})),
+            epsilon=1.0,
+        )
+        assert assert_raises_like_oracle(
+            run_perturbation_kernel, _perturbation_trial, perturbation
+        ) == expected
+        _, _, attribute = self.each_kernel(
+            table, scorer=LinearScoringFunction({"a": 0.6, "b": 0.0})
+        )[2]
+        attribute = replace(attribute, epsilon=1.0, scale=0.6)
+        assert assert_raises_like_oracle(
+            run_attribute_kernel, _attribute_trial, attribute
+        ) == expected

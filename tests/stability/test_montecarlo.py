@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.backends import SerialTrialBackend, VectorizedTrialBackend
+from repro.engine.backends import VectorizedTrialBackend
 from repro.ranking import LinearScoringFunction
 from repro.stability import (
     DataUncertaintyStability,
@@ -11,8 +11,10 @@ from repro.stability import (
     per_attribute_stability,
     trial_rng,
 )
+from repro.stability.kernels import run_perturbation_kernel
 from repro.stability.montecarlo import run_payload_trials
 from repro.tabular import Table
+from tests.oracles import OracleTrialBackend
 
 
 def jittered_table(n=30, seed=11):
@@ -34,7 +36,7 @@ def vectorized():
     """The kernel backend; each test checks the kernels actually ran."""
     backend = VectorizedTrialBackend()
     yield backend
-    assert backend.kernel_runs > 0 and backend.scalar_runs == 0
+    assert backend.kernel_runs > 0
 
 
 class TestPrimitives:
@@ -47,19 +49,22 @@ class TestPrimitives:
 
     def test_run_trials_preserves_order(self):
         expected = [7 + t * t for t in range(10)]
-        for backend in (None, SerialTrialBackend(), VectorizedTrialBackend()):
+        for backend in (None, OracleTrialBackend(), VectorizedTrialBackend()):
             assert run_payload_trials(
-                lambda base, t: base + t * t, 7, 10, backend
+                lambda base, trials, start: [
+                    base + t * t for t in range(start, start + trials)
+                ],
+                7, 10, backend,
             ) == expected
 
 
 class TestParallelEqualsSerial:
-    """The vectorized kernels reproduce the serial reference exactly."""
+    """The vectorized kernels reproduce the per-trial oracle exactly."""
 
     def test_weight_perturbation(self, vectorized):
         table = jittered_table()
         serial = WeightPerturbationStability(
-            table, SCORER, "name", trials=12, seed=5, backend=SerialTrialBackend()
+            table, SCORER, "name", trials=12, seed=5, backend=OracleTrialBackend()
         )
         batched = WeightPerturbationStability(
             table, SCORER, "name", trials=12, seed=5, backend=vectorized
@@ -70,7 +75,7 @@ class TestParallelEqualsSerial:
     def test_data_uncertainty(self, vectorized):
         table = jittered_table()
         serial = DataUncertaintyStability(
-            table, SCORER, "name", trials=12, seed=5, backend=SerialTrialBackend()
+            table, SCORER, "name", trials=12, seed=5, backend=OracleTrialBackend()
         )
         batched = DataUncertaintyStability(
             table, SCORER, "name", trials=12, seed=5, backend=vectorized
@@ -82,7 +87,7 @@ class TestParallelEqualsSerial:
         table = jittered_table()
         serial = per_attribute_stability(
             table, SCORER, "name", trials=8, iterations=4, seed=5,
-            backend=SerialTrialBackend(),
+            backend=OracleTrialBackend(),
         )
         batched = per_attribute_stability(
             table, SCORER, "name", trials=8, iterations=4, seed=5,
@@ -93,13 +98,11 @@ class TestParallelEqualsSerial:
     def test_trials_are_order_independent(self):
         """The per-trial streams mean trial i's outcome ignores trial j."""
         table = jittered_table()
-        ten = WeightPerturbationStability(table, SCORER, "name", trials=10, seed=5)
-        twenty = WeightPerturbationStability(table, SCORER, "name", trials=20, seed=5)
-        # the first ten trials of both estimators are the same draws, so
-        # a run that only changed `trials` shares its prefix outcomes
-        def prefix_changes(estimator, trials):
-            return [
-                estimator._run_trial(0.1, trial)[2] for trial in range(trials)
-            ]
-
-        assert prefix_changes(ten, 10) == prefix_changes(twenty, 10)
+        payload = WeightPerturbationStability(
+            table, SCORER, "name", trials=10, seed=5
+        )._payload_at(0.1)
+        # the first ten trials of a twenty-trial batch are the same draws,
+        # and so is any span computed on its own at its absolute indices
+        twenty = run_perturbation_kernel(payload, 20)
+        assert run_perturbation_kernel(payload, 10) == twenty[:10]
+        assert run_perturbation_kernel(payload, 5, 12) == twenty[12:17]

@@ -90,15 +90,15 @@ class TestProvenanceCapture:
         import repro
 
         with LabelService(
-            store_path=store_path(tmp_path), trial_backend="serial"
+            store_path=store_path(tmp_path), trial_backend="vectorized"
         ) as service:
             outcome = service.build_label(table, DESIGN, "CS departments")
             record = service.store.provenance(outcome.fingerprint)
         assert record is not None
         assert record.fingerprint == outcome.fingerprint
         assert record.dataset_name == "CS departments"
-        assert record.trial_backend_requested == "serial"
-        assert record.trial_backend_effective == "serial"
+        assert record.trial_backend_requested == "vectorized"
+        assert record.trial_backend_effective == "vectorized"
         assert record.monte_carlo_trials == DESIGN.monte_carlo_trials
         assert record.epsilon_count == len(DESIGN.monte_carlo_epsilons)
         assert record.engine_version == repro.__version__

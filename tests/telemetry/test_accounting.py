@@ -160,7 +160,7 @@ class TestRemoteTrialBackend:
             [victim.address, survivor.address], probe_timeout=2, registry=metrics
         )
         try:
-            expected = [square({"base": 7}, t) for t in range(20)]
+            expected = square({"base": 7}, 20, 0)
             assert backend.run(square, {"base": 7}, 20) == expected
             # killed while the coordinator still counts it live: the next
             # run's chunks on it fail and are retried on the survivor
@@ -192,7 +192,7 @@ class TestRemoteTrialBackend:
 class TestTrialWorker:
     def test_chunk_counts_equal_the_worker_chunk_span(self):
         metrics = MetricsRegistry()
-        worker = TrialWorker(backend="serial", registry=metrics)
+        worker = TrialWorker(registry=metrics)
         work = wire.encode_trial_work(square, {"base": 3})
         for start in (0, 4):
             worker.run_chunk(wire.encode_request(work, start, start + 4))
