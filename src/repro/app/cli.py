@@ -52,7 +52,7 @@ from repro.app.session import DemoSession
 from repro.engine.backends import BACKEND_NAMES
 from repro.errors import RankingFactsError, StoreError
 from repro.label.render_html import render_html
-from repro.label.render_json import render_json
+from repro.label.render_json import label_document, render_json
 from repro.label.render_markdown import render_markdown
 from repro.label.render_text import render_text
 
@@ -1134,7 +1134,7 @@ def _run_store(args: argparse.Namespace) -> str:
         if args.format == "json":
             return json.dumps({
                 "fingerprint": fingerprint,
-                "label": json.loads(render_json(facts.label)),
+                "label": label_document(facts.label),
                 "provenance": (
                     None if provenance is None else provenance.as_dict()
                 ),

@@ -75,7 +75,21 @@ into the registry — so existing clients and the CLI's ``serve`` are
 unaffected.
 
 The server runs on the daemon skeleton the cluster daemons share
-(:mod:`repro.cluster.daemon`), except for its response write policy.
+(:mod:`repro.cluster.daemon`), except for its response write policy:
+Nagle stays on and a response leaves as two writes, head then body, so
+a kept-alive client waits out its delayed ACK (``serve-hot``
+``latency_p50_ms`` reads ~44 ms).  The one-write, Nagle-off policy of
+the worker and registry was measured on a 2-CPU host (12 s labelbench
+runs, seed 1): plain-GET label builds then run back to back
+beside the SSE streams, and ``serve-churn`` ``first_widget_p50_ms``
+rose from 4.8–5.0 to 6.9–7.1 ms (+40–48%; server-side
+``app.sse.first_event_ms`` 1.7 → 4.6 ms), ``serve-hot``'s from 4.3 to
+5.7 ms; a 0.5 ms GIL switch interval only brought ``serve-churn`` to
+6.3 ms.
+
+Every label read — ``GET .../label``, ``label.html``, ``preview``, the
+SSE stream and batch jobs — is served by the shared service, so each
+counts once in ``repro_label_requests_total`` by tier.
 
 Use :func:`make_server` in tests (ephemeral port) and
 :func:`serve_forever` from the CLI.
@@ -107,7 +121,7 @@ from repro.engine.service import LabelService
 from repro.engine.streaming import LabelEventQueue
 from repro.errors import EngineError, RankingFactsError, StoreError
 from repro.label.render_html import render_html
-from repro.label.render_json import render_json
+from repro.label.render_json import label_document, render_json
 from repro.telemetry import (
     DEFAULT_CONTINUOUS_HZ,
     DEFAULT_WINDOW_HZ,
@@ -514,36 +528,32 @@ class _RankingFactsHandler(DaemonHandler):
     _recorded = True  # only _handle arms the per-request metrics
 
     server_version = "RankingFacts/2.0"
-    # the one write policy that differs from the cluster daemons: Nagle
-    # stays on and _send_raw writes head and body separately (see
-    # repro.cluster.daemon)
+    # the write policy of _send_bytes (see the module docstring)
     disable_nagle_algorithm = False
     # reap keep-alive connections idle longer than this, so abandoned
     # clients cannot hold handler threads forever
     timeout = 60
 
-    def _send_raw(self, status: int, content_type: str, body: bytes) -> None:
+    def _send_bytes(self, status: int, content_type: str, body: bytes) -> None:
+        """Write the head, then the body: two writes with Nagle on.
+
+        Not the skeleton's one write: with it and Nagle off, plain-GET
+        label builds run back to back beside the SSE streams and
+        ``serve-churn`` ``first_widget_p50_ms`` rose by 40–48% (module
+        docstring).  The head echoes the request's ``X-Trace-Id``, and
+        the request is counted before the first write, so a client
+        scraping ``/metrics`` right after the response sees it.  An
+        HTTP/0.9 request gets the bare body.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._trace_id:
-            # echo the request's trace so a client (or curl -v) can
-            # grep server/worker logs for this exact request
             self.send_header("X-Trace-Id", self._trace_id)
         self._status = status
-        # counted before the response leaves, so a client scraping
-        # /metrics right after it already sees its own request
         self._record_request()
         self.end_headers()
         self.wfile.write(body)
-
-    def _send(self, status: int, content_type: str, payload: str) -> None:
-        self._send_raw(
-            status, f"{content_type}; charset=utf-8", payload.encode("utf-8")
-        )
-
-    def _send_json(self, status: int, data: object) -> None:
-        self._send(status, "application/json", json.dumps(data, indent=2))
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._handle("GET", self._route_get)
@@ -603,7 +613,7 @@ class _RankingFactsHandler(DaemonHandler):
                     self._send_json(500, {"error": f"internal error: {exc}"})
         finally:
             inflight.dec(method=method)
-            # responses that bypassed _send_raw (SSE streams, aborted
+            # responses that bypassed _send_bytes (SSE streams, aborted
             # requests) are counted here instead
             self._record_request()
             _log.debug(
@@ -655,7 +665,7 @@ class _RankingFactsHandler(DaemonHandler):
         content_type = (
             OPENMETRICS_CONTENT_TYPE if exemplars else PROMETHEUS_CONTENT_TYPE
         )
-        self._send_raw(200, content_type, page.encode("utf-8"))
+        self._send_bytes(200, content_type, page.encode("utf-8"))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -688,11 +698,6 @@ class _RankingFactsHandler(DaemonHandler):
                 "and use the /session/<token>/ routes"
             )
         return ["session", self.default_token, parts[0]]
-
-    def _label_for(self, session: DemoSession):
-        if session.stage is not SessionStage.LABELED:
-            session.generate_label()
-        return session.last_label()
 
     # -- streaming (SSE) ---------------------------------------------------------
 
@@ -812,15 +817,20 @@ class _RankingFactsHandler(DaemonHandler):
 
     def _get_session_view(self, session: DemoSession, view: str) -> None:
         if view == "label":
-            facts = self._label_for(session)
-            self._send(200, "application/json", render_json(facts.label))
+            facts = session.generate_label()
+            self._send_bytes(
+                200, "application/json; charset=utf-8",
+                render_json(facts.label).encode("utf-8"),
+            )
         elif view == "label.stream":
             self._stream_label_view(session)
         elif view == "label.html":
-            facts = self._label_for(session)
-            self._send(200, "text/html", render_html(facts.label))
+            facts = session.generate_label()
+            self._send_bytes(
+                200, "text/html; charset=utf-8", render_html(facts.label).encode("utf-8")
+            )
         elif view == "preview":
-            facts = self._label_for(session)
+            facts = session.generate_label()
             records = facts.ranking.top_k(
                 min(facts.label.k, facts.ranking.size)
             ).to_records()
@@ -857,7 +867,9 @@ class _RankingFactsHandler(DaemonHandler):
     def _route_get(self) -> None:
         parts = self._routed_parts(_LEGACY_VIEWS)
         if not parts:
-            self._send(200, "text/html", _LANDING_PAGE)
+            self._send_bytes(
+                200, "text/html; charset=utf-8", _LANDING_PAGE.encode("utf-8")
+            )
         elif parts == ["health"]:
             sessions = self.registry.tokens()
             self._send_json(
@@ -1000,7 +1012,7 @@ class _RankingFactsHandler(DaemonHandler):
         provenance = store.provenance(fingerprint)
         return {
             "fingerprint": fingerprint,
-            "label": json.loads(render_json(facts.label)),
+            "label": label_document(facts.label),
             "provenance": None if provenance is None else provenance.as_dict(),
         }
 
@@ -1065,7 +1077,9 @@ class _RankingFactsHandler(DaemonHandler):
         report = self.profiler.window(seconds, hz=hz)
         report.source = self.profile_source
         if fmt == "collapsed":
-            self._send(200, "text/plain", report.to_collapsed())
+            self._send_bytes(
+                200, "text/plain; charset=utf-8", report.to_collapsed().encode("utf-8")
+            )
             return
         payload = report.as_dict()
         if params.get("archive", ["0"])[-1] in ("1", "true", "yes"):
@@ -1100,9 +1114,7 @@ class _RankingFactsHandler(DaemonHandler):
             labels: dict[str, object] = {}
             for result in handle.completed_results():
                 if result is not None and result.status is JobStatus.DONE:
-                    labels[result.job_id] = json.loads(
-                        render_json(result.facts.label)
-                    )
+                    labels[result.job_id] = label_document(result.facts.label)
             status["labels"] = labels
         self._send_json(200, status)
 

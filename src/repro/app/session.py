@@ -18,7 +18,10 @@ directly: a session constructed with a shared service (the HTTP
 server's registry does this) gets content-addressed caching across
 *all* sessions — two users asking for the same design on the same data
 cost one Monte-Carlo loop.  A session constructed bare owns a private
-service, so caching still applies to its own repeated requests.
+service, so caching still applies to its own repeated requests.  The
+session keeps no label of its own: every read, :meth:`last_label`
+included, is served by the service, within the cache's bounds and
+counted in its tier.
 
 Sessions are served by ``ThreadingHTTPServer``, so every state
 transition and every read of the committed design happens under one
@@ -110,7 +113,6 @@ class DemoSession:
         self._monte_carlo_trials = 0
         self._monte_carlo_epsilons: tuple[float, ...] = (0.05, 0.1, 0.2)
         self._seed = 20180610
-        self._facts: RankingFacts | None = None
         self._last_cached = False
 
     @property
@@ -167,7 +169,6 @@ class DemoSession:
         self._monte_carlo_trials = 0
         self._monte_carlo_epsilons = (0.05, 0.1, 0.2)
         self._seed = 20180610  # a stale seed would silently change label bytes
-        self._facts = None
         self._last_cached = False
         self._stage = SessionStage.DATA_LOADED
 
@@ -227,8 +228,7 @@ class DemoSession:
         self._invalidate_label()
 
     def _invalidate_label(self) -> None:
-        """Drop a stale label; LABELED must always mean last_label() works."""
-        self._facts = None
+        """Leave LABELED: the label served so far no longer matches the design."""
         if self._stage is SessionStage.LABELED:
             self._stage = SessionStage.SCORER_DESIGNED
 
@@ -277,7 +277,6 @@ class DemoSession:
         self._id_column = id_column
         self._k = k
         self._alpha = alpha
-        self._facts = None
         self._stage = SessionStage.SCORER_DESIGNED
 
     # -- stage 4: preview ------------------------------------------------------------------
@@ -340,7 +339,6 @@ class DemoSession:
         outcome = self._service.build_label(
             table, design, dataset_name=self._dataset_name
         )
-        self._facts = outcome.facts
         self._last_cached = outcome.cached
         self._stage = SessionStage.LABELED
         return outcome.facts
@@ -360,10 +358,14 @@ class DemoSession:
 
     @_locked
     def last_label(self) -> RankingFacts:
-        """The most recently generated label."""
-        if self._facts is None:
+        """The label of the committed design, re-served by the service.
+
+        Only a LABELED session has one; the read counts in the service
+        like any other (an L1 hit unless the cache evicted the label).
+        """
+        if self._stage is not SessionStage.LABELED:
             raise SessionStateError("no label generated yet; call generate_label()")
-        return self._facts
+        return self.generate_label()
 
     @_locked
     def last_label_was_cached(self) -> bool:

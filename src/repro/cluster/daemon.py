@@ -5,13 +5,11 @@ subclass and run by a :class:`DaemonHandle`: keep-alive HTTP/1.1, quiet
 logs, one request-body reader, a stop that severs kept-alive sockets,
 and one serve-until-SIGTERM-or-Ctrl-C loop (:func:`serve_until_stopped`).
 
-Worker and registry responses leave in one write on a ``TCP_NODELAY``
-socket: a head and a body sent as two small segments with Nagle on wait
-~40 ms for a kept-alive client's delayed ACK.  A client that went away
-ends quietly.  The label server (:mod:`repro.app.server`) keeps Nagle on
-and its two-write responses for now: with Nagle off, its plain-GET
-clients' label builds hold the GIL while SSE streams wait, and
-``serve-churn``'s first-widget latency doubles.
+A response leaves in one write on a ``TCP_NODELAY`` socket: a head and
+a body sent as two small segments with Nagle on wait ~40 ms for a
+kept-alive client's delayed ACK.  A client that went away ends quietly.
+The label server overrides :meth:`DaemonHandler._send_bytes` with its
+own write policy, measured and explained in :mod:`repro.app.server`.
 """
 
 from __future__ import annotations
@@ -125,7 +123,9 @@ class DaemonHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, data: object) -> None:
         self._send_bytes(
-            status, "application/json", json.dumps(data, indent=2).encode("utf-8")
+            status,
+            "application/json; charset=utf-8",
+            json.dumps(data, indent=2).encode("utf-8"),
         )
 
 

@@ -28,11 +28,10 @@ without touching the clients.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from repro.engine.backends import TrialBackend
 from repro.engine.cache import LabelCache
@@ -49,7 +48,8 @@ from repro.engine.streaming import (
 )
 from repro.errors import RankingFactsError
 from repro.label.builder import RankingFacts, WidgetProgress
-from repro.label.render_json import render_json
+# render_json is looked up here by the labelbench tracer's layer table
+from repro.label.render_json import label_document, render_json  # noqa: F401
 from repro.tabular.table import Table
 from repro.telemetry import (
     MetricsRegistry,
@@ -64,30 +64,71 @@ _log = get_logger("engine.service")
 __all__ = ["LabelOutcome", "LabelService"]
 
 
+@dataclass(slots=True)
 class LabelOutcome:
     """A served label plus how it was produced (which tier? how long?).
 
     ``tier`` is ``"l1"`` (memory hit), ``"l2"`` (served from the
     durable store), or ``"build"`` (cold Monte-Carlo build); without a
-    store, memory hits are still ``"l1"``.  ``cached`` stays the
-    boolean clients already rely on: anything but a cold build.
+    store, memory hits are still ``"l1"``.  ``cached`` is the boolean
+    clients already rely on: anything but a cold build.
     """
 
-    __slots__ = ("facts", "cached", "fingerprint", "seconds", "tier")
+    facts: RankingFacts
+    fingerprint: str
+    seconds: float
+    tier: str = "build"
 
-    def __init__(
-        self,
-        facts: RankingFacts,
-        cached: bool,
-        fingerprint: str,
-        seconds: float,
-        tier: str = "build",
-    ):
-        self.facts = facts
-        self.cached = cached
-        self.fingerprint = fingerprint
-        self.seconds = seconds
-        self.tier = tier
+    @property
+    def cached(self) -> bool:
+        """Whether the label was served without a build."""
+        return self.tier != "build"
+
+
+def _error_message(exc: Exception) -> str:
+    """A failure as clients read it: a library error's own message,
+    anything else prefixed with its type."""
+    if isinstance(exc, RankingFactsError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _LabelPublisher:
+    """Publishes one label's events onto a stream's queue.
+
+    :meth:`widget` is the build's progress callback (one live event per
+    finished widget); :meth:`label` replays the widgets of a label that
+    was not built live (a cache hit, or a lost single-flight race), then
+    publishes the terminal ``label`` event; :meth:`error` publishes a
+    failure.  A batch job's events carry its ``job_id``: after the
+    widget and error fields, first in the label payload.
+    """
+
+    def __init__(self, events: LabelEventQueue, job_id: str | None = None):
+        self._events = events
+        self._tag = {} if job_id is None else {"job_id": job_id}
+        self._live = 0
+
+    def _publish(self, event: LabelStreamEvent) -> None:
+        self._events.publish(replace(event, payload={**event.payload, **self._tag}))
+
+    def widget(self, name: str, widget: object, seconds: float) -> None:
+        self._live += 1
+        self._publish(widget_event(name, widget, seconds))
+
+    def label(self, facts: RankingFacts, **fields: object) -> None:
+        if not self._live:
+            for event in replay_events(facts.label):
+                self._publish(event)
+        self._events.publish(
+            label_event(
+                {**self._tag, "label": label_document(facts.label), **fields},
+                streamed=self._live > 0,
+            )
+        )
+
+    def error(self, message: str, error_type: str = "error") -> None:
+        self._publish(error_event(message, error_type))
 
 
 class LabelService:
@@ -250,8 +291,7 @@ class LabelService:
             return builder.build(progress=self._widget_progress(progress))
 
         if not self._use_cache:
-            facts = build()
-            return LabelOutcome(facts, False, key, time.perf_counter() - start)
+            return LabelOutcome(build(), key, time.perf_counter() - start)
         if self._tiers is not None:
 
             def build_with_provenance():
@@ -270,16 +310,10 @@ class LabelService:
                 return facts, provenance
 
             facts, tier = self._tiers.get_or_build(key, build_with_provenance)
-            return LabelOutcome(
-                facts, tier != "build", key, time.perf_counter() - start, tier=tier
-            )
+            return LabelOutcome(facts, key, time.perf_counter() - start, tier=tier)
         facts, cached = self._cache.get_or_build(key, build)
         return LabelOutcome(
-            facts,
-            cached,
-            key,
-            time.perf_counter() - start,
-            tier="l1" if cached else "build",
+            facts, key, time.perf_counter() - start, tier="l1" if cached else "build"
         )
 
     # -- streaming ---------------------------------------------------------------------
@@ -314,42 +348,21 @@ class LabelService:
             events = LabelEventQueue()
 
         def produce() -> None:
-            live = 0
-
-            def on_widget(name: str, widget: object, seconds: float) -> None:
-                nonlocal live
-                live += 1
-                events.publish(widget_event(name, widget, seconds))
-
+            publisher = _LabelPublisher(events)
             try:
                 outcome = self.build_label(
-                    table, design, dataset_name, progress=on_widget
+                    table, design, dataset_name, progress=publisher.widget
                 )
-            except RankingFactsError as exc:
-                events.publish(error_event(str(exc), type(exc).__name__))
-                events.close()
-                return
             except Exception as exc:  # the consumer needs a terminal event
-                events.publish(
-                    error_event(f"{type(exc).__name__}: {exc}", type(exc).__name__)
+                publisher.error(_error_message(exc), type(exc).__name__)
+            else:
+                publisher.label(
+                    outcome.facts,
+                    fingerprint=outcome.fingerprint,
+                    cached=outcome.cached,
+                    tier=outcome.tier,
+                    seconds=outcome.seconds,
                 )
-                events.close()
-                return
-            if live == 0:  # cache hit or lost the single-flight race
-                for event in replay_events(outcome.facts.label):
-                    events.publish(event)
-            events.publish(
-                label_event(
-                    {
-                        "label": json.loads(render_json(outcome.facts.label)),
-                        "fingerprint": outcome.fingerprint,
-                        "cached": outcome.cached,
-                        "tier": outcome.tier,
-                        "seconds": outcome.seconds,
-                    },
-                    streamed=live > 0,
-                )
-            )
             events.close()
 
         self._executor.submit_task(produce)
@@ -374,51 +387,17 @@ class LabelService:
         ]
 
         def runner(job: LabelJob) -> JobResult:
-            live = 0
-
-            def on_widget(name: str, widget: object, seconds: float) -> None:
-                nonlocal live
-                live += 1
-                base = widget_event(name, widget, seconds)
-                events.publish(
-                    LabelStreamEvent(
-                        kind="widget",
-                        name=name,
-                        seconds=seconds,
-                        payload={**base.payload, "job_id": job.job_id},
-                    )
-                )
-
-            result = self.run_job(job, progress=on_widget)
+            publisher = _LabelPublisher(events, job.job_id)
+            result = self.run_job(job, progress=publisher.widget)
             if result.status is JobStatus.DONE:
-                if live == 0:  # cached job: replay its widgets
-                    for event in replay_events(result.facts.label):
-                        events.publish(
-                            replace(
-                                event,
-                                payload={**event.payload, "job_id": job.job_id},
-                            )
-                        )
-                events.publish(
-                    label_event(
-                        {
-                            "job_id": job.job_id,
-                            "label": json.loads(render_json(result.facts.label)),
-                            "fingerprint": result.fingerprint,
-                            "cached": result.cached,
-                            "seconds": result.seconds,
-                        },
-                        streamed=live > 0,
-                    )
+                publisher.label(
+                    result.facts,
+                    fingerprint=result.fingerprint,
+                    cached=result.cached,
+                    seconds=result.seconds,
                 )
             else:
-                base = error_event(result.error or "job failed")
-                events.publish(
-                    LabelStreamEvent(
-                        kind="error",
-                        payload={**base.payload, "job_id": job.job_id},
-                    )
-                )
+                publisher.error(result.error or "job failed")
             return result
 
         handle = self._executor.submit_batch(numbered, runner)
@@ -455,15 +434,7 @@ class LabelService:
                 seconds=time.perf_counter() - started,
                 dataset_name=name,
             )
-        except RankingFactsError as exc:
-            return JobResult(
-                job_id=job.job_id,
-                status=JobStatus.FAILED,
-                seconds=time.perf_counter() - started,
-                error=str(exc),
-                dataset_name=job.dataset_name or job.dataset or job.csv_path or "",
-            )
-        except Exception as exc:  # unexpected faults must not kill the batch
+        except Exception as exc:  # one failed job must not kill the batch
             # e.g. a binary file handed to the CSV loader raises
             # UnicodeDecodeError, not a RankingFactsError; the other
             # jobs' results still matter
@@ -471,7 +442,7 @@ class LabelService:
                 job_id=job.job_id,
                 status=JobStatus.FAILED,
                 seconds=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}",
+                error=_error_message(exc),
                 dataset_name=job.dataset_name or job.dataset or job.csv_path or "",
             )
 

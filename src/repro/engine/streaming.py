@@ -114,13 +114,7 @@ def replay_events(label: Any, seconds: float | None = None) -> list[LabelStreamE
     """
     label_dict = label.as_dict()
     return [
-        LabelStreamEvent(
-            kind="widget",
-            name=name,
-            seconds=seconds,
-            streamed=False,
-            payload={"widget": json_safe(label_dict[name])},
-        )
+        widget_event(name, label_dict[name], seconds, streamed=False)
         for name in label.widget_names()
     ]
 

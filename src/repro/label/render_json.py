@@ -13,7 +13,7 @@ import math
 from repro.errors import LabelError
 from repro.label.widgets import NutritionalLabel
 
-__all__ = ["render_json", "label_from_json", "json_safe"]
+__all__ = ["render_json", "label_document", "label_from_json", "json_safe"]
 
 _REQUIRED_KEYS = (
     "dataset",
@@ -48,13 +48,19 @@ def json_safe(value):
     return _sanitize(value)
 
 
-def render_json(label: NutritionalLabel, indent: int | None = 2) -> str:
-    """Serialize a label to a JSON string.
+def label_document(label: NutritionalLabel) -> dict[str, object]:
+    """The label as the JSON document :func:`render_json` dumps.
 
-    Non-finite floats (possible in summaries of empty slices) become
-    ``null`` so the output is strict JSON.
+    ``as_dict()`` with non-finite floats (possible in summaries of
+    empty slices) replaced by ``None``: callers embedding a label in a
+    larger JSON response use this instead of parsing the rendered text.
     """
-    return json.dumps(_sanitize(label.as_dict()), indent=indent, sort_keys=False)
+    return _sanitize(label.as_dict())
+
+
+def render_json(label: NutritionalLabel, indent: int | None = 2) -> str:
+    """Serialize a label to a strict JSON string (:func:`label_document`)."""
+    return json.dumps(label_document(label), indent=indent, sort_keys=False)
 
 
 def label_from_json(payload: str) -> dict[str, object]:

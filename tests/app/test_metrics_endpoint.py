@@ -137,7 +137,7 @@ class TestMetricsEndpoint:
 
 class TestRequestCountedBeforeResponse:
     def test_scrape_right_after_a_response_sees_it(self, monkeypatch):
-        original = server_module._RankingFactsHandler._send_raw
+        original = server_module._RankingFactsHandler._send_bytes
 
         def linger_after_write(handler, status, content_type, body):
             original(handler, status, content_type, body)
@@ -145,7 +145,7 @@ class TestRequestCountedBeforeResponse:
                 time.sleep(0.5)  # the handler is still busy after the write
 
         monkeypatch.setattr(
-            server_module._RankingFactsHandler, "_send_raw", linger_after_write
+            server_module._RankingFactsHandler, "_send_bytes", linger_after_write
         )
         with make_server(metrics_registry=MetricsRegistry()) as handle:
             fetch(handle, "/health")

@@ -196,11 +196,13 @@ class TestOneWritePerResponse:
             connection.close()
         assert nodelay and all(nodelay)
 
-    def test_http_09_request_gets_the_bare_body(self):
-        with make_worker() as handle:
-            host, port = handle.address.rsplit(":", 1)
-            with socket.create_connection((host, int(port)), timeout=10) as sock:
-                sock.sendall(b"GET /healthz\r\n\r\n")
+    @pytest.mark.parametrize("daemon", sorted(DAEMONS))
+    def test_http_09_request_gets_the_bare_body(self, daemon):
+        factory, health_path, _ = DAEMONS[daemon]
+        with factory() as handle:
+            url = urlsplit(handle.url)
+            with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+                sock.sendall(f"GET {health_path}\r\n\r\n".encode())
                 raw = b"".join(iter(lambda: sock.recv(65536), b""))
         assert raw.startswith(b"{") and b'"status": "ok"' in raw
 

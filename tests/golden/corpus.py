@@ -133,17 +133,16 @@ def cases() -> list[dict]:
     return out
 
 
-def label_digests(case_list: list[dict]) -> dict[str, str]:
-    """Build each case's label and return ``{case id: sha256 hex}``."""
+def case_labels(case_list: list[dict]) -> dict:
+    """Build each case's label: ``{case id: NutritionalLabel}``."""
     from repro.datasets.loaders import dataset_by_name
     from repro.engine.jobs import LabelDesign
     from repro.engine.service import LabelService
-    from repro.label.render_json import render_json
     from tests.oracles import OracleTrialBackend
 
     tables: dict = {}
     services: dict = {}
-    digests = {}
+    labels = {}
     try:
         for case in case_list:
             dataset, backend = case["dataset"], case["backend"]
@@ -160,12 +159,21 @@ def label_digests(case_list: list[dict]) -> dict[str, str]:
             outcome = services[backend].build_label(
                 tables[dataset], LabelDesign.from_mapping(case["design"]), dataset
             )
-            text = render_json(outcome.facts.label)
-            digests[case["id"]] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            labels[case["id"]] = outcome.facts.label
     finally:
         for service in services.values():
             service.shutdown()
-    return digests
+    return labels
+
+
+def label_digests(labels: dict) -> dict[str, str]:
+    """``{case id: sha256 hex}`` of each label's JSON rendering."""
+    from repro.label.render_json import render_json
+
+    return {
+        case_id: hashlib.sha256(render_json(label).encode("utf-8")).hexdigest()
+        for case_id, label in labels.items()
+    }
 
 
 def load_pins() -> dict[str, str]:
@@ -175,7 +183,7 @@ def load_pins() -> dict[str, str]:
 
 def main() -> None:
     """Rebuild every case and overwrite ``labels.json``."""
-    digests = label_digests(cases())
+    digests = label_digests(case_labels(cases()))
     PINS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} pins to {PINS_PATH}")
 

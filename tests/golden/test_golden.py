@@ -10,14 +10,22 @@ and categorical gathers stopped re-cleaning values.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from tests.golden.corpus import cases, label_digests, load_pins
+from repro.label.render_json import label_document, render_json
+from tests.golden.corpus import case_labels, cases, label_digests, load_pins
 
 
 @pytest.fixture(scope="module")
-def digests() -> dict[str, str]:
-    return label_digests(cases())
+def labels() -> dict:
+    return case_labels(cases())
+
+
+@pytest.fixture(scope="module")
+def digests(labels) -> dict[str, str]:
+    return label_digests(labels)
 
 
 def test_pins_cover_the_grid():
@@ -27,6 +35,15 @@ def test_pins_cover_the_grid():
 @pytest.mark.parametrize("case_id", [case["id"] for case in cases()])
 def test_label_matches_pin(digests, case_id):
     assert digests[case_id] == load_pins()[case_id]
+
+
+@pytest.mark.parametrize("case_id", [case["id"] for case in cases()])
+def test_label_document_is_the_rendered_document(labels, case_id):
+    """Responses embed ``label_document`` where they used to parse the
+    rendered JSON back: both must give the same document and bytes."""
+    label = labels[case_id]
+    assert label_document(label) == json.loads(render_json(label))
+    assert json.dumps(label_document(label), indent=2) == render_json(label)
 
 
 def test_store_round_trip_matches_pin(tmp_path):
@@ -73,4 +90,4 @@ def test_numpy_fallback_matches_every_pin(monkeypatch):
 
     monkeypatch.setattr(_native, "kernel", None)
     monkeypatch.setattr(_native, "movement", None)
-    assert label_digests(cases()) == load_pins()
+    assert label_digests(case_labels(cases())) == load_pins()

@@ -114,6 +114,33 @@ class TestLabelRequests:
             stats, page = self.served_label(reborn)
             assert self.assert_agree(stats, page) == {"l1": 1, "l2": 1, "build": 1}
 
+    def test_every_read_of_a_labeled_session_is_an_l1_hit(self, tmp_path):
+        """A LABELED session's label, HTML page and preview are served by
+        the service: each read counts one ``l1`` request."""
+        with make_server(store_path=str(tmp_path / "labels.db")) as handle:
+            token = http_json(
+                handle.url + "/session", "POST",
+                {"dataset": "cs-departments", "design": DESIGN},
+            )["token"]
+            expected = {"l1": 0, "l2": 0, "build": 0}
+            for view, tier in (
+                ("label", "build"),
+                ("label", "l1"),
+                ("label.html", "l1"),
+                ("preview", "l1"),
+            ):
+                with urllib.request.urlopen(
+                    f"{handle.url}/session/{token}/{view}", timeout=30
+                ) as response:
+                    response.read()
+                expected[tier] += 1
+                stats = http_json(handle.url + "/engine/stats")
+                with urllib.request.urlopen(
+                    handle.url + "/metrics", timeout=10
+                ) as response:
+                    page = response.read().decode("utf-8")
+                assert self.assert_agree(stats, page) == expected, view
+
 
 class TestWorkerRegistry:
     def test_lease_counts_equal_their_events(self):
